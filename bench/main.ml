@@ -676,6 +676,61 @@ let cluster_bench () =
 
 module Regex = Ppfx_regex.Regex
 
+(* Regex patterns of a translated statement, subqueries included. *)
+let rec expr_patterns acc (e : Sql.expr) =
+  match e with
+  | Sql.Regexp_like (a, p) -> expr_patterns (p :: acc) a
+  | Sql.Cmp (_, a, b) | Sql.Arith (_, a, b) | Sql.Concat (a, b) | Sql.And (a, b)
+  | Sql.Or (a, b) ->
+    expr_patterns (expr_patterns acc a) b
+  | Sql.Between (a, b, c) -> List.fold_left expr_patterns acc [ a; b; c ]
+  | Sql.Not a | Sql.To_number a | Sql.Length a | Sql.Is_not_null a -> expr_patterns acc a
+  | Sql.Exists sel | Sql.Count_subquery sel -> select_patterns acc sel
+  | Sql.Col _ | Sql.Const _ | Sql.Bool_const _ -> acc
+
+and select_patterns acc (sel : Sql.select) =
+  let acc = List.fold_left (fun acc (e, _) -> expr_patterns acc e) acc sel.Sql.projections in
+  let acc = Option.fold ~none:acc ~some:(expr_patterns acc) sel.Sql.where in
+  List.fold_left expr_patterns acc sel.Sql.order_by
+
+let statement_patterns = function
+  | Sql.Select sel | Sql.Select_count sel -> select_patterns [] sel
+  | Sql.Union (sels, _) -> List.fold_left select_patterns [] sels
+
+(* Deterministic compile work: frozen-DFA states summed over the distinct
+   regex patterns of the 23 XPathMark + XE queries. The reseed set of a
+   [^]-anchored pattern holds no state with a symbol edge, so its search
+   variant freezes to the match variant's states; the gate allows one
+   extra state per unanchored pattern. A search total beyond that means
+   reseeding reaches past a [^] anchor. *)
+let frozen_state_totals tr =
+  let patterns =
+    List.sort_uniq String.compare
+      (List.concat_map
+         (fun (_, q) ->
+           match Translate.translate tr (Xparser.parse q) with
+           | None -> []
+           | Some stmt -> statement_patterns stmt)
+         (Xmark.queries @ Xmark.extension_queries))
+  in
+  let search = ref 0 and match_ = ref 0 and unfrozen = ref 0 in
+  List.iter
+    (fun p ->
+      match Regex.frozen_states (Regex.compile_cached p) with
+      | Some (s, m) ->
+        search := !search + s;
+        match_ := !match_ + m
+      | None -> incr unfrozen)
+    patterns;
+  let unanchored =
+    List.length (List.filter (fun p -> not (String.starts_with ~prefix:"^" p)) patterns)
+  in
+  Printf.printf
+    "frozen DFA states over %d distinct patterns (%d unanchored, %d unfrozen): \
+     search %d, match %d; search <= match + unanchored: %b\n"
+    (List.length patterns) unanchored !unfrozen !search !match_
+    (!unfrozen = 0 && !search <= !match_ + unanchored)
+
 (* The steady state is where the semi-join reduction pays off: an
    optimized plan sweeps its path regex over the small Paths dimension
    once at prepare time and thereafter probes a cached integer set per
@@ -861,6 +916,7 @@ let engine_bench () =
     (!warm_dfa > 0) (!warm_nfa = 0);
   Printf.printf "regex compile cache: %d entries, %d hits, %d misses overall\n"
     (Regex.cache_size ()) (Regex.cache_hits ()) (Regex.cache_misses ());
+  frozen_state_totals tr;
   (* Layout: path-partitioned fact tables (the default) vs a plain heap.
      Same document, same translated SQL, default optimizer opts — only
      the physical layout differs, so deltas isolate partition pruning:

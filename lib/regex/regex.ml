@@ -111,6 +111,11 @@ let cache_clear () =
 
 let has_frozen t = Option.is_some t.frozen_search
 
+let frozen_states t =
+  match (t.frozen_search, t.frozen_match) with
+  | Some fs, Some fm -> Some (Dfa.frozen_states fs, Dfa.frozen_states fm)
+  | _ -> None
+
 let search t subject =
   match t.frozen_search with
   | Some f -> Dfa.frozen_search f subject

@@ -31,6 +31,11 @@ val has_frozen : t -> bool
     {!compile_cached} handles below the state cap; false for {!compile}
     handles, which keep the lazy NFA-simulation path). *)
 
+val frozen_states : t -> (int * int) option
+(** State counts of the shared frozen search and match DFAs, or [None]
+    when the handle has no frozen DFAs. Deterministic per pattern, so
+    tests and benchmarks can pin the work a compile does. *)
+
 val required_literals : t -> string list list
 (** A CNF of required substrings: each returned group is a list of
     alternatives, at least one of which must occur as a substring of any

@@ -57,7 +57,7 @@ let backward ~context steps =
 
 let ends_with name = "^(.*/)?" ^ Regex.quote name ^ "$"
 
-let matches pattern path = Regex.search (Regex.compile pattern) path
+let matches pattern = Regex.search (Regex.compile pattern)
 
 let min_levels segs = List.length segs
 

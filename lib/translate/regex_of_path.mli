@@ -36,7 +36,9 @@ val ends_with : string -> string
 
 val matches : string -> string -> bool
 (** [matches pattern path] — compile-and-search convenience used by the
-    Section 4.5 static checks. *)
+    Section 4.5 static checks. Staged: [matches pattern] compiles once, and
+    the predicate it returns tests any number of paths. The compile is
+    uncached, so it does not count in {!Ppfx_regex.Regex.cache_misses}. *)
 
 val min_levels : seg list -> int
 (** Minimum number of levels a chain descends: child segments contribute

@@ -175,7 +175,9 @@ let decide_filter env (def : Graph.def) pattern =
     match Graph.classification env.t.schema def with
     | Graph.Unique_path p -> if Rx.matches pattern p then Filter_skip else Filter_prune
     | Graph.Finite_paths ps ->
-      let matching = List.filter (Rx.matches pattern) ps in
+      (* One compile for the decision, not one per root path. *)
+      let matches = Rx.matches pattern in
+      let matching = List.filter matches ps in
       if List.length matching = List.length ps then Filter_skip
       else if matching = [] then Filter_prune
       else Filter_join

@@ -171,18 +171,35 @@ let naive_search r s =
   let rec try_at i = i <= n && (naive_match r s i (fun _ -> true) || try_at (i + 1)) in
   try_at 0
 
-(* Random pattern ASTs kept small so the naive oracle stays fast. *)
+(* Random pattern ASTs kept small so the naive oracle stays fast. Leaves
+   include both anchors and bracket expressions with ranges and several
+   items, so the DFA's anchored kernels and byte-class merging meet the
+   oracle too. *)
 let gen_regex =
   let open QCheck.Gen in
   let gen_char = map (fun i -> Char.chr (97 + i)) (int_bound 3) in
+  let gen_item =
+    oneof
+      [
+        map (fun c -> Syntax.Single c) gen_char;
+        map2
+          (fun a b -> if a <= b then Syntax.Range (a, b) else Syntax.Range (b, a))
+          gen_char gen_char;
+      ]
+  in
+  let gen_class =
+    map2 (fun neg items -> Syntax.Class (neg, items)) bool (list_size (int_range 1 3) gen_item)
+  in
   sized_size (int_bound 8) @@ fix (fun self n ->
       if n <= 0 then
-        oneof
+        frequency
           [
-            map (fun c -> Syntax.Char c) gen_char;
-            return Syntax.Any;
-            return Syntax.Empty;
-            map2 (fun neg c -> Syntax.Class (neg, [ Syntax.Single c ])) bool gen_char;
+            (3, map (fun c -> Syntax.Char c) gen_char);
+            (1, return Syntax.Any);
+            (1, return Syntax.Empty);
+            (2, gen_class);
+            (1, return Syntax.Bol);
+            (1, return Syntax.Eol);
           ]
       else
         oneof
@@ -195,8 +212,18 @@ let gen_regex =
             map (fun c -> Syntax.Char c) gen_char;
           ])
 
+(* Mostly the pattern alphabet [a-d], with some bytes no pattern names:
+   these land in the catch-all byte class. *)
 let gen_subject =
-  QCheck.Gen.(string_size ~gen:(map (fun i -> Char.chr (97 + i)) (int_bound 3)) (int_bound 10))
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (frequency
+           [
+             (8, map (fun i -> Char.chr (97 + i)) (int_bound 3));
+             (1, oneofl [ '/'; 'z'; '\000'; '\255' ]);
+           ])
+      (int_bound 10))
 
 let prop_nfa_vs_naive =
   QCheck.Test.make ~count:2000 ~name:"NFA search agrees with backtracking oracle"
@@ -341,6 +368,60 @@ let frozen_tests =
             ("a{2,3}", "aaa");
             ("", "");
           ] );
+    ( "freeze state counts are pinned",
+      fun () ->
+        (* Deterministic compile work: states of both variants, straight
+           from [Dfa.freeze]. The search variant of an anchored pattern
+           reseeds only epsilon states, so it must not outgrow the match
+           variant. *)
+        let freeze pattern ~reseed =
+          let nfa = Ppfx_regex.Nfa.build (Ppfx_regex.Parse.parse pattern) in
+          match Ppfx_regex.Dfa.freeze nfa ~reseed ~max_states:4096 with
+          | Some f -> Ppfx_regex.Dfa.frozen_states f
+          | None -> Alcotest.failf "%S did not freeze" pattern
+        in
+        let q2 =
+          "^/site/closed_auctions/closed_auction/annotation/description/parlist/\
+           listitem/text/keyword$"
+        in
+        let q2_search = freeze q2 ~reseed:true and q2_match = freeze q2 ~reseed:false in
+        Alcotest.(check int) "Q2 search = match" q2_match q2_search;
+        Alcotest.(check bool)
+          (Printf.sprintf "Q2 states %d <= 93" q2_search)
+          true (q2_search <= 93);
+        List.iter
+          (fun (pattern, expected) ->
+            Alcotest.(check int) (pattern ^ " search") expected (freeze pattern ~reseed:true);
+            Alcotest.(check int) (pattern ^ " match") expected (freeze pattern ~reseed:false))
+          [ ("^/(.+/)?keyword$", 12); ("^.*/listitem(/.+)?/keyword$", 29) ] );
+    ( "freeze cap is exact",
+      fun () ->
+        let nfa = Ppfx_regex.Nfa.build (Ppfx_regex.Parse.parse "^/(.+/)?keyword$") in
+        let frozen max_states =
+          Option.is_some (Ppfx_regex.Dfa.freeze nfa ~reseed:false ~max_states)
+        in
+        Alcotest.(check bool) "fits at its own size" true (frozen 12);
+        Alcotest.(check bool) "one state short" false (frozen 11) );
+    ( "over-cap pattern falls back to the lazy DFA",
+      fun () ->
+        Regex.cache_clear ();
+        (* The 13th symbol from the end must be an [a]: the DFA needs
+           2^13 states, past the 4096 cap. *)
+        let pattern = "(a|b)*a(a|b){12}" in
+        let re = Regex.compile_cached pattern in
+        Alcotest.(check bool) "not frozen" false (Regex.has_frozen re);
+        let r = Regex.ast re in
+        let subjects =
+          [ ""; "a"; "aaaaaaaaaaaaa"; "abbbbbbbbbbbb"; "babbbbbbbbbbbb"; "bbbbbbbbbbbbb";
+            "abbbbbbbbbbbbb"; "xabababababababx"; "bbbbabbbbbbbbbbbb" ]
+        in
+        List.iter
+          (fun s ->
+            Alcotest.(check bool) ("search " ^ s) (naive_search r s) (Regex.search re s);
+            Alcotest.(check bool) ("matches " ^ s)
+              (naive_match r s 0 (fun j -> j = String.length s))
+              (Regex.matches re s))
+          subjects );
   ]
 
 (* Frozen execution must be byte-for-byte equivalent to both the lazy DFA
