@@ -196,26 +196,12 @@ let explain_cmd =
       let result, profiles, stats = Engine.run_profiled store.Loader.db stmt in
       List.iter
         (fun (p : Engine.step_profile) ->
-          Printf.printf "step %s(%s): %s — examined %d, passed %d, %.6fs\n"
+          Printf.printf "%sstep %s(%s): %s — examined %d, passed %d, %.6fs\n"
+            (String.make (2 * p.Engine.depth) ' ')
             p.Engine.table p.Engine.alias p.Engine.access p.Engine.examined
             p.Engine.passed p.Engine.seconds)
         profiles;
-      Printf.printf
-        "scanned %d, probed %d, emitted %d, plan regex evals %d, exec regex evals %d, \
-         dfa execs %d, hash builds %d, reductions %d\n"
-        stats.Engine.rows_scanned stats.Engine.rows_probed stats.Engine.rows_emitted
-        stats.Engine.regex_plan_evals stats.Engine.regex_exec_evals
-        stats.Engine.dfa_execs stats.Engine.hash_builds stats.Engine.reductions;
-      Printf.printf
-        "merge probes %d, merge steps %d, merge backtracks %d, partitions scanned %d, \
-         partitions pruned %d, peak bytes %d\n"
-        stats.Engine.merge_probes stats.Engine.merge_steps
-        stats.Engine.merge_backtracks stats.Engine.partitions_scanned
-        stats.Engine.partitions_pruned stats.Engine.peak_bytes;
-      Printf.printf
-        "content probes %d, content candidates %d, content verified %d\n"
-        stats.Engine.content_probes stats.Engine.content_candidates
-        stats.Engine.content_verified;
+      List.iter print_endline (Engine.stats_lines stats);
       Printf.printf "%d result rows\n" (List.length result.Engine.rows)
   in
   let term = Term.(const run $ doc_arg $ schema_arg $ query_arg) in

@@ -42,151 +42,122 @@ let default_opts =
    ctx (including sub-query plans). Mutable on purpose: they sit in the
    innermost loops. A plan is executed by one domain at a time (the
    cluster hands each shard plan to a single worker), so plain mutation
-   is safe. *)
-type counters = {
-  mutable c_scanned : int;
-  mutable c_probed : int;
-  mutable c_emitted : int;
-  mutable c_regex_plan_evals : int;
-  mutable c_regex_exec_evals : int;
-  mutable c_dfa_execs : int;
-  mutable c_hash_builds : int;
-  mutable c_reductions : int;
-  mutable c_merge_probes : int;
-  mutable c_merge_steps : int;
-  mutable c_merge_backtracks : int;
-  mutable c_parts_scanned : int;
-  mutable c_parts_pruned : int;
-  mutable c_content_probes : int;
-  mutable c_content_candidates : int;
-  mutable c_content_verified : int;
-  mutable c_peak_bytes : int;
-}
-
-let counters_create () =
-  {
-    c_scanned = 0;
-    c_probed = 0;
-    c_emitted = 0;
-    c_regex_plan_evals = 0;
-    c_regex_exec_evals = 0;
-    c_dfa_execs = 0;
-    c_hash_builds = 0;
-    c_reductions = 0;
-    c_merge_probes = 0;
-    c_merge_steps = 0;
-    c_merge_backtracks = 0;
-    c_parts_scanned = 0;
-    c_parts_pruned = 0;
-    c_content_probes = 0;
-    c_content_candidates = 0;
-    c_content_verified = 0;
-    c_peak_bytes = 0;
-  }
-
+   is safe. Besides the field list and the zero literal, every listing
+   of the counters (add, diff, JSON keys, printed labels) is derived
+   from [counter_table]. *)
 type exec_stats = {
-  rows_scanned : int;
-  rows_probed : int;
-  rows_emitted : int;
-  regex_plan_evals : int;
-  regex_exec_evals : int;
-  dfa_execs : int;
-  hash_builds : int;
-  reductions : int;
-  merge_probes : int;
-  merge_steps : int;
-  merge_backtracks : int;
-  partitions_scanned : int;
-  partitions_pruned : int;
-  content_probes : int;
-  content_candidates : int;
-  content_verified : int;
-  peak_bytes : int;
+  mutable rows_scanned : int;
+  mutable rows_probed : int;
+  mutable rows_emitted : int;
+  mutable regex_plan_evals : int;
+  mutable regex_exec_evals : int;
+  mutable dfa_execs : int;
+  mutable hash_builds : int;
+  mutable reductions : int;
+  mutable merge_probes : int;
+  mutable merge_steps : int;
+  mutable merge_backtracks : int;
+  mutable partitions_scanned : int;
+  mutable partitions_pruned : int;
+  mutable content_probes : int;
+  mutable content_candidates : int;
+  mutable content_verified : int;
+  mutable peak_bytes : int;
 }
 
-let stats_of c =
-  {
-    rows_scanned = c.c_scanned;
-    rows_probed = c.c_probed;
-    rows_emitted = c.c_emitted;
-    regex_plan_evals = c.c_regex_plan_evals;
-    regex_exec_evals = c.c_regex_exec_evals;
-    dfa_execs = c.c_dfa_execs;
-    hash_builds = c.c_hash_builds;
-    reductions = c.c_reductions;
-    merge_probes = c.c_merge_probes;
-    merge_steps = c.c_merge_steps;
-    merge_backtracks = c.c_merge_backtracks;
-    partitions_scanned = c.c_parts_scanned;
-    partitions_pruned = c.c_parts_pruned;
-    content_probes = c.c_content_probes;
-    content_candidates = c.c_content_candidates;
-    content_verified = c.c_content_verified;
-    peak_bytes = c.c_peak_bytes;
-  }
-
+(* The one literal: the compiler rejects it when a field is missing. *)
 let stats_zero =
-  {
-    rows_scanned = 0;
-    rows_probed = 0;
-    rows_emitted = 0;
-    regex_plan_evals = 0;
-    regex_exec_evals = 0;
-    dfa_execs = 0;
-    hash_builds = 0;
-    reductions = 0;
-    merge_probes = 0;
-    merge_steps = 0;
-    merge_backtracks = 0;
-    partitions_scanned = 0;
-    partitions_pruned = 0;
-    content_probes = 0;
-    content_candidates = 0;
-    content_verified = 0;
-    peak_bytes = 0;
-  }
+  { rows_scanned = 0; rows_probed = 0; rows_emitted = 0; regex_plan_evals = 0;
+    regex_exec_evals = 0; dfa_execs = 0; hash_builds = 0; reductions = 0;
+    merge_probes = 0; merge_steps = 0; merge_backtracks = 0; partitions_scanned = 0;
+    partitions_pruned = 0; content_probes = 0; content_candidates = 0;
+    content_verified = 0; peak_bytes = 0 }
 
-let stats_add a b =
-  {
-    rows_scanned = a.rows_scanned + b.rows_scanned;
-    rows_probed = a.rows_probed + b.rows_probed;
-    rows_emitted = a.rows_emitted + b.rows_emitted;
-    regex_plan_evals = a.regex_plan_evals + b.regex_plan_evals;
-    regex_exec_evals = a.regex_exec_evals + b.regex_exec_evals;
-    dfa_execs = a.dfa_execs + b.dfa_execs;
-    hash_builds = a.hash_builds + b.hash_builds;
-    reductions = a.reductions + b.reductions;
-    merge_probes = a.merge_probes + b.merge_probes;
-    merge_steps = a.merge_steps + b.merge_steps;
-    merge_backtracks = a.merge_backtracks + b.merge_backtracks;
-    partitions_scanned = a.partitions_scanned + b.partitions_scanned;
-    partitions_pruned = a.partitions_pruned + b.partitions_pruned;
-    content_probes = a.content_probes + b.content_probes;
-    content_candidates = a.content_candidates + b.content_candidates;
-    content_verified = a.content_verified + b.content_verified;
-    peak_bytes = a.peak_bytes + b.peak_bytes;
-  }
+(* A fresh record: [with] copies every field. *)
+let stats_copy s = { s with rows_scanned = s.rows_scanned }
 
-let stats_diff a b =
-  {
-    rows_scanned = a.rows_scanned - b.rows_scanned;
-    rows_probed = a.rows_probed - b.rows_probed;
-    rows_emitted = a.rows_emitted - b.rows_emitted;
-    regex_plan_evals = a.regex_plan_evals - b.regex_plan_evals;
-    regex_exec_evals = a.regex_exec_evals - b.regex_exec_evals;
-    dfa_execs = a.dfa_execs - b.dfa_execs;
-    hash_builds = a.hash_builds - b.hash_builds;
-    reductions = a.reductions - b.reductions;
-    merge_probes = a.merge_probes - b.merge_probes;
-    merge_steps = a.merge_steps - b.merge_steps;
-    merge_backtracks = a.merge_backtracks - b.merge_backtracks;
-    partitions_scanned = a.partitions_scanned - b.partitions_scanned;
-    partitions_pruned = a.partitions_pruned - b.partitions_pruned;
-    content_probes = a.content_probes - b.content_probes;
-    content_candidates = a.content_candidates - b.content_candidates;
-    content_verified = a.content_verified - b.content_verified;
-    peak_bytes = a.peak_bytes - b.peak_bytes;
-  }
+type counter = {
+  name : string;  (* JSON key *)
+  label : string;  (* printed by EXPLAIN and the metrics dump *)
+  get : exec_stats -> int;
+  set : exec_stats -> int -> unit;
+}
+
+let counter_table =
+  [ { name = "rows_scanned"; label = "rows scanned";
+      get = (fun s -> s.rows_scanned); set = (fun s v -> s.rows_scanned <- v) };
+    { name = "rows_probed"; label = "rows probed";
+      get = (fun s -> s.rows_probed); set = (fun s v -> s.rows_probed <- v) };
+    { name = "rows_emitted"; label = "rows emitted";
+      get = (fun s -> s.rows_emitted); set = (fun s v -> s.rows_emitted <- v) };
+    { name = "regex_plan_evals"; label = "plan regex evals";
+      get = (fun s -> s.regex_plan_evals); set = (fun s v -> s.regex_plan_evals <- v) };
+    { name = "regex_exec_evals"; label = "exec regex evals";
+      get = (fun s -> s.regex_exec_evals); set = (fun s v -> s.regex_exec_evals <- v) };
+    { name = "dfa_execs"; label = "dfa execs";
+      get = (fun s -> s.dfa_execs); set = (fun s v -> s.dfa_execs <- v) };
+    { name = "hash_builds"; label = "hash builds";
+      get = (fun s -> s.hash_builds); set = (fun s v -> s.hash_builds <- v) };
+    { name = "reductions"; label = "reductions";
+      get = (fun s -> s.reductions); set = (fun s v -> s.reductions <- v) };
+    { name = "merge_probes"; label = "merge probes";
+      get = (fun s -> s.merge_probes); set = (fun s v -> s.merge_probes <- v) };
+    { name = "merge_steps"; label = "merge steps";
+      get = (fun s -> s.merge_steps); set = (fun s v -> s.merge_steps <- v) };
+    { name = "merge_backtracks"; label = "merge backtracks";
+      get = (fun s -> s.merge_backtracks); set = (fun s v -> s.merge_backtracks <- v) };
+    { name = "partitions_scanned"; label = "partitions scanned";
+      get = (fun s -> s.partitions_scanned); set = (fun s v -> s.partitions_scanned <- v) };
+    { name = "partitions_pruned"; label = "partitions pruned";
+      get = (fun s -> s.partitions_pruned); set = (fun s v -> s.partitions_pruned <- v) };
+    { name = "content_probes"; label = "content probes";
+      get = (fun s -> s.content_probes); set = (fun s v -> s.content_probes <- v) };
+    { name = "content_candidates"; label = "content candidates";
+      get = (fun s -> s.content_candidates); set = (fun s v -> s.content_candidates <- v) };
+    { name = "content_verified"; label = "content verified";
+      get = (fun s -> s.content_verified); set = (fun s v -> s.content_verified <- v) };
+    { name = "peak_bytes"; label = "peak bytes";
+      get = (fun s -> s.peak_bytes); set = (fun s v -> s.peak_bytes <- v) } ]
+
+let stats_map2 f a b =
+  let s = stats_copy stats_zero in
+  List.iter (fun c -> c.set s (f (c.get a) (c.get b))) counter_table;
+  s
+
+let stats_add = stats_map2 ( + )
+
+let stats_diff = stats_map2 ( - )
+
+let stats_to_list s = List.map (fun c -> c.name, c.label, c.get s) counter_table
+
+let stats_of_list kvs =
+  let s = stats_copy stats_zero in
+  List.iter
+    (fun (name, v) ->
+      match List.find_opt (fun c -> String.equal c.name name) counter_table with
+      | Some c -> c.set s v
+      | None -> invalid_arg ("Engine.stats_of_list: unknown counter " ^ name))
+    kvs;
+  s
+
+let stats_lines s =
+  let items =
+    List.mapi (fun i (_, label, v) -> i / 6, Printf.sprintf "%s %d" label v) (stats_to_list s)
+  in
+  List.init
+    ((List.length items + 5) / 6)
+    (fun line ->
+      String.concat ", " (List.filter_map (fun (l, x) -> if l = line then Some x else None) items))
+
+(* EXPLAIN ANALYZE: actual row counts and inclusive wall time of one plan
+   step, accumulated over every execution of the step (a correlated
+   sub-plan runs once per outer binding). Attached to each step only when
+   the plan is compiled for a profiled run. *)
+type prof = {
+  mutable pf_examined : int;
+  mutable pf_passed : int;
+  mutable pf_seconds : float;
+}
 
 (* What a compiled plan depends on, per table. [Dep_paths] means every
    access the plan makes to the table is guarded by a pathid set probe
@@ -195,86 +166,6 @@ let stats_diff a b =
 type fp_dep = Dep_all | Dep_paths of (int, unit) Hashtbl.t
 
 type fp_entry = { mutable fe_version : int; mutable fe_dep : fp_dep }
-
-type ctx = {
-  db : Database.t;
-  slots : (string * Table.t) array;
-  naive : bool;
-  opts : opts;
-  counters : counters;
-  footprint : (string, fp_entry) Hashtbl.t;
-      (** accumulated across every [plan_select] under one compile *)
-  verdicts : (string * string, bool) Hashtbl.t;
-      (** plan-time regex verdict memo, (pattern, path string) -> matched;
-          shared across every reduction sweep of one compile (all UNION
-          branches, sub-selects) so no statement evaluates a pattern more
-          than once per distinct path *)
-}
-
-let fp_merge a b =
-  match a, b with
-  | Dep_all, _ | _, Dep_all -> Dep_all
-  | Dep_paths sa, Dep_paths sb ->
-    let u = Hashtbl.copy sa in
-    Hashtbl.iter (fun k () -> Hashtbl.replace u k ()) sb;
-    Dep_paths u
-
-let footprint_add ctx table dep =
-  let name = Table.name table in
-  match Hashtbl.find_opt ctx.footprint name with
-  | None ->
-    Hashtbl.add ctx.footprint name { fe_version = Table.version table; fe_dep = dep }
-  | Some e -> e.fe_dep <- fp_merge e.fe_dep dep
-
-let slot_of ctx alias =
-  (* Search from the end: inner FROM aliases shadow outer ones. *)
-  let rec go i =
-    if i < 0 then error "unknown alias %s" alias
-    else if String.equal (fst ctx.slots.(i)) alias then i
-    else go (i - 1)
-  in
-  go (Array.length ctx.slots - 1)
-
-let column_slot ctx alias col =
-  let slot = slot_of ctx alias in
-  let table = snd ctx.slots.(slot) in
-  match Table.column_index table col with
-  | Some i -> slot, i
-  | None -> error "table %s (alias %s) has no column %s" (Table.name table) alias col
-
-(* Static type of an expression, when derivable; used to gate EXISTS
-   decorrelation and hash joins on hash-compatible comparison types. *)
-let rec static_ty ctx = function
-  | Sql.Col (alias, col) ->
-    let slot = slot_of ctx alias in
-    Table.column_ty (snd ctx.slots.(slot)) col
-  | Sql.Const v -> Value.type_of v
-  | Sql.Concat (a, _) ->
-    (match static_ty ctx a with
-     | Some Value.Tbin -> Some Value.Tbin
-     | Some _ | None -> Some Value.Tstr)
-  | Sql.To_number _ -> Some Value.Tfloat
-  | Sql.Arith _ -> Some Value.Tfloat
-  | Sql.Length _ | Sql.Count_subquery _ -> Some Value.Tint
-  | Sql.Cmp _ | Sql.Between _ | Sql.And _ | Sql.Or _ | Sql.Not _
-  | Sql.Regexp_like _ | Sql.Exists _ | Sql.Is_not_null _ | Sql.Bool_const _ ->
-    None
-
-(* Canonical hash key for a value under a kind — shared by the hash-join
-   operator and EXISTS decorrelation. Complete w.r.t. {!Value.compare_sql}
-   on the gated type combinations: values equal under three-valued SQL
-   comparison canonicalize to the same key, so a hash lookup can never
-   miss a row the join would produce. [-0.] is folded into [0.] because
-   the two compare equal but print differently. *)
-let canon_key kind v =
-  match kind, v with
-  | _, Value.Null -> None
-  | `Str, (Value.Str s | Value.Bin s) -> Some s
-  | `Str, (Value.Int _ | Value.Float _) -> None
-  | `Num, v ->
-    (match Value.to_float v with
-     | Some f -> Some (if f = 0.0 then "0." else string_of_float f)
-     | None -> None)
 
 (* A hash-join access: build an in-memory hash of the step's table keyed
    on [hp_col] (once, lazily, cached on the plan — sound under the same
@@ -372,7 +263,8 @@ type step = {
          [st_filters] are pathid set probes, not residual conjuncts *)
   st_content : bool;
       (* the step is a content probe: bindings surviving the filters are
-         verified candidates, counted in [c_content_verified] *)
+         verified candidates, counted in [content_verified] *)
+  st_prof : prof option;
 }
 
 (* One applied path-filter semi-join reduction (EXPLAIN reporting). *)
@@ -395,7 +287,26 @@ type probe_src = {
   pb_label : string;
 }
 
-type planned = {
+type ctx = {
+  db : Database.t;
+  slots : (string * Table.t) array;
+  naive : bool;
+  opts : opts;
+  counters : exec_stats;
+  profile : bool;  (** attach a [prof] to every step ({!run_profiled}) *)
+  subs : (string * planned) list ref;
+      (** the selects planned directly under this scope, newest first,
+          each with its role (e.g. how the executor runs an EXISTS) *)
+  footprint : (string, fp_entry) Hashtbl.t;
+      (** accumulated across every [plan_select] under one compile *)
+  verdicts : (string * string, bool) Hashtbl.t;
+      (** plan-time regex verdict memo, (pattern, path string) -> matched;
+          shared across every reduction sweep of one compile (all UNION
+          branches, sub-selects) so no statement evaluates a pattern more
+          than once per distinct path *)
+}
+
+and planned = {
   pl_ctx : ctx;
   pl_env : int;
   pl_pre : pred_fn list;
@@ -408,7 +319,73 @@ type planned = {
          so the final stable sort is the identity and is skipped *)
   pl_total : int;
   pl_reductions : reduction list;
+  pl_subs : (string * planned) list;  (* sub-queries planned inside, in order *)
 }
+
+let fp_merge a b =
+  match a, b with
+  | Dep_all, _ | _, Dep_all -> Dep_all
+  | Dep_paths sa, Dep_paths sb ->
+    let u = Hashtbl.copy sa in
+    Hashtbl.iter (fun k () -> Hashtbl.replace u k ()) sb;
+    Dep_paths u
+
+let footprint_add ctx table dep =
+  let name = Table.name table in
+  match Hashtbl.find_opt ctx.footprint name with
+  | None ->
+    Hashtbl.add ctx.footprint name { fe_version = Table.version table; fe_dep = dep }
+  | Some e -> e.fe_dep <- fp_merge e.fe_dep dep
+
+let slot_of ctx alias =
+  (* Search from the end: inner FROM aliases shadow outer ones. *)
+  let rec go i =
+    if i < 0 then error "unknown alias %s" alias
+    else if String.equal (fst ctx.slots.(i)) alias then i
+    else go (i - 1)
+  in
+  go (Array.length ctx.slots - 1)
+
+let column_slot ctx alias col =
+  let slot = slot_of ctx alias in
+  let table = snd ctx.slots.(slot) in
+  match Table.column_index table col with
+  | Some i -> slot, i
+  | None -> error "table %s (alias %s) has no column %s" (Table.name table) alias col
+
+(* Static type of an expression, when derivable; used to gate EXISTS
+   decorrelation and hash joins on hash-compatible comparison types. *)
+let rec static_ty ctx = function
+  | Sql.Col (alias, col) ->
+    let slot = slot_of ctx alias in
+    Table.column_ty (snd ctx.slots.(slot)) col
+  | Sql.Const v -> Value.type_of v
+  | Sql.Concat (a, _) ->
+    (match static_ty ctx a with
+     | Some Value.Tbin -> Some Value.Tbin
+     | Some _ | None -> Some Value.Tstr)
+  | Sql.To_number _ -> Some Value.Tfloat
+  | Sql.Arith _ -> Some Value.Tfloat
+  | Sql.Length _ | Sql.Count_subquery _ -> Some Value.Tint
+  | Sql.Cmp _ | Sql.Between _ | Sql.And _ | Sql.Or _ | Sql.Not _
+  | Sql.Regexp_like _ | Sql.Exists _ | Sql.Is_not_null _ | Sql.Bool_const _ ->
+    None
+
+(* Canonical hash key for a value under a kind — shared by the hash-join
+   operator and EXISTS decorrelation. Complete w.r.t. {!Value.compare_sql}
+   on the gated type combinations: values equal under three-valued SQL
+   comparison canonicalize to the same key, so a hash lookup can never
+   miss a row the join would produce. [-0.] is folded into [0.] because
+   the two compare equal but print differently. *)
+let canon_key kind v =
+  match kind, v with
+  | _, Value.Null -> None
+  | `Str, (Value.Str s | Value.Bin s) -> Some s
+  | `Str, (Value.Int _ | Value.Float _) -> None
+  | `Num, v ->
+    (match Value.to_float v with
+     | Some f -> Some (if f = 0.0 then "0." else string_of_float f)
+     | None -> None)
 
 (* First column of the index backed by [tree] in [table], if any. *)
 let index_first_col table tree =
@@ -518,7 +495,7 @@ let reduce_path_filters ctx (sel : Sql.select) local_aliases conjuncts =
                  Table.iter_rows
                    (fun _ row ->
                      incr total;
-                     ctx.counters.c_scanned <- ctx.counters.c_scanned + 1;
+                     ctx.counters.rows_scanned <- ctx.counters.rows_scanned + 1;
                      match row.(ici) with
                      | Value.Null -> ()
                      | Value.Int id ->
@@ -534,8 +511,8 @@ let reduce_path_filters ctx (sel : Sql.select) local_aliases conjuncts =
                             match Hashtbl.find_opt ctx.verdicts (pat, s) with
                             | Some v -> v
                             | None ->
-                              ctx.counters.c_regex_plan_evals <-
-                                ctx.counters.c_regex_plan_evals + 1;
+                              ctx.counters.regex_plan_evals <-
+                                ctx.counters.regex_plan_evals + 1;
                               let v = Ppfx_regex.Regex.search re s in
                               Hashtbl.add ctx.verdicts (pat, s) v;
                               v
@@ -550,9 +527,9 @@ let reduce_path_filters ctx (sel : Sql.select) local_aliases conjuncts =
                with Exit -> ());
               if not !sound then acc
               else begin
-                ctx.counters.c_reductions <- ctx.counters.c_reductions + 1;
-                ctx.counters.c_peak_bytes <-
-                  ctx.counters.c_peak_bytes + (32 * Hashtbl.length set) + 64;
+                ctx.counters.reductions <- ctx.counters.reductions + 1;
+                ctx.counters.peak_bytes <-
+                  ctx.counters.peak_bytes + (32 * Hashtbl.length set) + 64;
                 let matched = Hashtbl.length set in
                 let label =
                   Printf.sprintf "pathid set probe (%d of %d paths)" matched !total
@@ -586,20 +563,20 @@ let reduce_path_filters ctx (sel : Sql.select) local_aliases conjuncts =
 
 let iter_access counters table (access : access) (bind : binding) (f : int -> unit) =
   let f id =
-    counters.c_scanned <- counters.c_scanned + 1;
+    counters.rows_scanned <- counters.rows_scanned + 1;
     f id
   in
   match access with
   | `Scan -> Table.iter_rows (fun id _ -> f id) table
   | `Content_probe cp ->
-    counters.c_content_probes <- counters.c_content_probes + 1;
-    counters.c_content_candidates <-
-      counters.c_content_candidates + Array.length cp.cp_ids;
+    counters.content_probes <- counters.content_probes + 1;
+    counters.content_candidates <-
+      counters.content_candidates + Array.length cp.cp_ids;
     Array.iter f cp.cp_ids
   | `Partition_scan ps ->
-    counters.c_parts_scanned <- counters.c_parts_scanned + Array.length ps.ps_keys;
-    counters.c_parts_pruned <-
-      counters.c_parts_pruned + max 0 (ps.ps_total - Array.length ps.ps_keys);
+    counters.partitions_scanned <- counters.partitions_scanned + Array.length ps.ps_keys;
+    counters.partitions_pruned <-
+      counters.partitions_pruned + max 0 (ps.ps_total - Array.length ps.ps_keys);
     let n = Array.length ps.ps_keys in
     if n = 1 then begin
       let ids, len = Table.partition_view ps.ps_table ps.ps_keys.(0) in
@@ -692,11 +669,11 @@ let iter_access counters table (access : access) (bind : binding) (f : int -> un
       match !(hp.hp_build) with
       | Some t -> t
       | None ->
-        counters.c_hash_builds <- counters.c_hash_builds + 1;
+        counters.hash_builds <- counters.hash_builds + 1;
         let t = Hashtbl.create (max 16 (Table.live_count hp.hp_table)) in
         Table.iter_rows
           (fun id row ->
-            counters.c_scanned <- counters.c_scanned + 1;
+            counters.rows_scanned <- counters.rows_scanned + 1;
             match canon_key hp.hp_kind row.(hp.hp_idx) with
             | Some k ->
               let prev = Option.value ~default:[] (Hashtbl.find_opt t k) in
@@ -711,11 +688,11 @@ let iter_access counters table (access : access) (bind : binding) (f : int -> un
             (fun k ids acc -> acc + String.length k + 48 + (24 * List.length ids))
             t 64
         in
-        counters.c_peak_bytes <- counters.c_peak_bytes + bytes;
+        counters.peak_bytes <- counters.peak_bytes + bytes;
         hp.hp_build := Some t;
         t
     in
-    counters.c_probed <- counters.c_probed + 1;
+    counters.rows_probed <- counters.rows_probed + 1;
     (match canon_key hp.hp_kind (hp.hp_key bind) with
      | None -> ()
      | Some k ->
@@ -737,7 +714,7 @@ let iter_access counters table (access : access) (bind : binding) (f : int -> un
         let acc = ref [] in
         Table.iter_rows
           (fun id row ->
-            counters.c_scanned <- counters.c_scanned + 1;
+            counters.rows_scanned <- counters.rows_scanned + 1;
             match row.(mj.mj_key_idx) with
             | Value.Bin s | Value.Str s -> acc := (s ^ mj.mj_suffix, id) :: !acc
             | Value.Null | Value.Int _ | Value.Float _ -> ())
@@ -750,11 +727,11 @@ let iter_access counters table (access : access) (bind : binding) (f : int -> un
         let bytes =
           Array.fold_left (fun b (k, _) -> b + 48 + String.length k) 64 a
         in
-        counters.c_peak_bytes <- counters.c_peak_bytes + bytes;
+        counters.peak_bytes <- counters.peak_bytes + bytes;
         mj.mj_items := Some a;
         a
     in
-    counters.c_merge_probes <- counters.c_merge_probes + 1;
+    counters.merge_probes <- counters.merge_probes + 1;
     let n = Array.length items in
     let str_bound side =
       match side with
@@ -794,11 +771,11 @@ let iter_access counters table (access : access) (bind : binding) (f : int -> un
           let pos = ref (min !(mj.mj_cursor) n) in
           while !pos > 0 && above_lo (fst items.(!pos - 1)) do
             decr pos;
-            counters.c_merge_backtracks <- counters.c_merge_backtracks + 1
+            counters.merge_backtracks <- counters.merge_backtracks + 1
           done;
           while !pos < n && not (above_lo (fst items.(!pos))) do
             incr pos;
-            counters.c_merge_steps <- counters.c_merge_steps + 1
+            counters.merge_steps <- counters.merge_steps + 1
           done;
           mj.mj_cursor := !pos);
        let i = ref !(mj.mj_cursor) in
@@ -814,24 +791,95 @@ let iter_access counters table (access : access) (bind : binding) (f : int -> un
 let rec exec_steps counters steps bind emit =
   match steps with
   | [] ->
-    counters.c_emitted <- counters.c_emitted + 1;
+    counters.rows_emitted <- counters.rows_emitted + 1;
     emit bind
   | st :: rest ->
-    iter_access counters st.st_table st.st_access bind (fun row_id ->
-        let row = Table.row st.st_table row_id in
-        (* Memoized hash builds and merge arrays can outlive a retained
-           plan's rows: a fine-grained commit may tombstone a row whose id
-           they still hold. The commit's pathid-disjointness guarantees
-           such rows could never satisfy this plan's probes, so skipping
-           the tombstone is exact. *)
-        if Array.length row > 0 then begin
-          bind.(st.st_slot) <- row;
-          if List.for_all (fun p -> p bind = Some true) st.st_filters then begin
-            if st.st_content then
-              counters.c_content_verified <- counters.c_content_verified + 1;
-            exec_steps counters rest bind emit
-          end
-        end)
+    let visit row_id =
+      let row = Table.row st.st_table row_id in
+      (* Memoized hash builds and merge arrays can outlive a retained
+         plan's rows: a fine-grained commit may tombstone a row whose id
+         they still hold. The commit's pathid-disjointness guarantees
+         such rows could never satisfy this plan's probes, so skipping
+         the tombstone is exact. *)
+      if Array.length row > 0 then begin
+        bind.(st.st_slot) <- row;
+        let pass = List.for_all (fun p -> p bind = Some true) st.st_filters in
+        (match st.st_prof with
+         | None -> ()
+         | Some pf ->
+           pf.pf_examined <- pf.pf_examined + 1;
+           if pass then pf.pf_passed <- pf.pf_passed + 1);
+        if pass then begin
+          if st.st_content then
+            counters.content_verified <- counters.content_verified + 1;
+          exec_steps counters rest bind emit
+        end
+      end
+    in
+    (match st.st_prof with
+     | None -> iter_access counters st.st_table st.st_access bind visit
+     | Some pf ->
+       (* Inclusive: the loop body runs every later step. [finally] also
+          covers an EXISTS probe leaving early by exception. *)
+       let t0 = Unix.gettimeofday () in
+       Fun.protect
+         ~finally:(fun () -> pf.pf_seconds <- pf.pf_seconds +. (Unix.gettimeofday () -. t0))
+         (fun () -> iter_access counters st.st_table st.st_access bind visit))
+
+(* Run a planned select under the caller's binding [outer] (its first
+   [pl_env] slots are the enclosing query's): [emit] sees each binding
+   that survives the constant filters and every step. *)
+let exec_planned counters p outer emit =
+  let bind = Array.make p.pl_total [||] in
+  Array.blit outer 0 bind 0 p.pl_env;
+  if List.for_all (fun f -> f bind = Some true) p.pl_pre then
+    exec_steps counters p.pl_steps bind emit
+
+(* Whether [p] yields a binding under [outer], stopping at the first. *)
+let exists_planned counters p outer =
+  let exception Found in
+  try
+    exec_planned counters p outer (fun _ -> raise Found);
+    false
+  with Found -> true
+
+(* How a step reaches its rows: the access path plus any pathid set
+   probes. Printed by EXPLAIN and carried by profiled steps. *)
+let describe_access (access : access) probe_labels =
+  let path =
+    match access with
+    | `Scan -> "full scan"
+    | `Index_eq (tree, fns) ->
+      Printf.sprintf "index eq lookup (%d cols, width %d)" (Array.length fns)
+        (Btree.width tree)
+    | `Index_range (tree, fns, lo, hi) ->
+      Printf.sprintf "index range scan (eq prefix %d, lo %s, hi %s, width %d)"
+        (Array.length fns)
+        (if lo = None then "-inf" else "bound")
+        (if hi = None then "+inf" else "bound")
+        (Btree.width tree)
+    | `Index_order tree -> Printf.sprintf "index order scan (width %d)" (Btree.width tree)
+    | `Prefix_lookup (tree, _, _) ->
+      Printf.sprintf "prefix lookups (width %d)" (Btree.width tree)
+    | `Hash_probe hp ->
+      Printf.sprintf "hash join (build %s.%s)" (Table.name hp.hp_table) hp.hp_col
+    | `Merge_join mj ->
+      Printf.sprintf "merge join (dewey) (sort %s.%s%s, lo %s, hi %s)"
+        (Table.name mj.mj_table) mj.mj_key_col
+        (if String.equal mj.mj_suffix "" then "" else " || sentinel")
+        (if mj.mj_lo = None then "-inf" else "bound")
+        (if mj.mj_hi = None then "+inf" else "bound")
+    | `Partition_scan ps ->
+      Printf.sprintf
+        "partition scan (%s order), partitions: scanned %d/%d (pruned %d, %d rows)"
+        ps.ps_sort_col (Array.length ps.ps_keys) ps.ps_total
+        (ps.ps_total - Array.length ps.ps_keys)
+        ps.ps_rows
+    | `Content_probe cp ->
+      Printf.sprintf "content index probe (%s) on %s (%d literal groups -> %d candidates)"
+        cp.cp_kinds cp.cp_col cp.cp_groups (Array.length cp.cp_ids)
+  in
+  match probe_labels with [] -> path | ls -> path ^ " + " ^ String.concat " + " ls
 
 (* ------------------------------------------------------------------ *)
 (* EXISTS shape analysis                                               *)
@@ -843,10 +891,7 @@ let rec exec_steps counters steps bind emit =
    correlated conjunct is an outer-expr = inner-expr equality with
    hash-compatible types: evaluate [inner_sel] (the sub-select projecting
    the distinct inner key tuples) once and turn the EXISTS into hash-set
-   membership. [`Correlated] — anything else: execute per binding.
-   Shared by {!decorrelate_exists} (which compiles the result) and
-   {!explain} (which recurses into the sub-plan it implies), so the
-   describing and the executing path can never disagree on the shape. *)
+   membership. [`Correlated] — anything else: execute per binding. *)
 let exists_shape ctx (sel : Sql.select) :
     [ `Uncorrelated of Sql.select
     | `Semijoin of (Sql.expr * Sql.expr) list * [ `Str | `Num ] list * Sql.select
@@ -982,17 +1027,11 @@ let rec compile_value ctx (e : Sql.expr) : value_fn =
   | Sql.Count_subquery sel ->
     (* Correlated scalar COUNT: plan once, count matching bindings per
        outer row. *)
-    let p = plan_select ctx sel in
-    let counters = ctx.counters in
+    let p = plan_select ctx ~role:"count subquery (correlated, per binding)" sel in
     fun outer ->
-      let bind = Array.make p.pl_total [||] in
-      Array.blit outer 0 bind 0 p.pl_env;
-      if not (List.for_all (fun f -> f bind = Some true) p.pl_pre) then Value.Int 0
-      else begin
-        let n = ref 0 in
-        exec_steps counters p.pl_steps bind (fun _ -> incr n);
-        Value.Int !n
-      end
+      let n = ref 0 in
+      exec_planned ctx.counters p outer (fun _ -> incr n);
+      Value.Int !n
   | Sql.Cmp _ | Sql.Between _ | Sql.And _ | Sql.Or _ | Sql.Not _
   | Sql.Regexp_like _ | Sql.Exists _ | Sql.Is_not_null _ | Sql.Bool_const _ ->
     error "boolean expression used where a value is required: %s"
@@ -1052,8 +1091,8 @@ and compile_pred ctx (e : Sql.expr) : pred_fn =
       (match Value.text (fe bind) with
        | None -> None
        | Some s ->
-         if frozen then counters.c_dfa_execs <- counters.c_dfa_execs + 1
-         else counters.c_regex_exec_evals <- counters.c_regex_exec_evals + 1;
+         if frozen then counters.dfa_execs <- counters.dfa_execs + 1
+         else counters.regex_exec_evals <- counters.regex_exec_evals + 1;
          Some (Ppfx_regex.Regex.search re s))
   | Sql.Exists sel -> compile_exists ctx sel
   | Sql.Is_not_null a ->
@@ -1069,7 +1108,12 @@ and compile_pred ctx (e : Sql.expr) : pred_fn =
 (* Planning                                                            *)
 (* ------------------------------------------------------------------ *)
 
-and plan_select ctx (sel : Sql.select) : planned =
+(* [role] says how the caller runs the select ("exists subquery
+   (correlated, per binding)", "union branch 1", ...); the plan records
+   itself under it in the caller's [subs], which is how EXPLAIN and
+   {!run_profiled} find every sub-plan. *)
+and plan_select ctx ~role (sel : Sql.select) : planned =
+  let parent_subs = ctx.subs in
   (* Extend the slot table with the select's own aliases. *)
   let local_aliases =
     List.map
@@ -1096,7 +1140,9 @@ and plan_select ctx (sel : Sql.select) : planned =
     else reduce_path_filters ctx sel local_aliases conjuncts
   in
   let env_slots = Array.length ctx.slots in
-  let ctx = { ctx with slots = Array.append ctx.slots (Array.of_list local_aliases) } in
+  let ctx =
+    { ctx with slots = Array.append ctx.slots (Array.of_list local_aliases); subs = ref [] }
+  in
   let local_names = List.map fst local_aliases in
   let is_local a = List.mem a local_names in
   (* Greedy join-order selection. *)
@@ -1232,7 +1278,7 @@ and plan_select ctx (sel : Sql.select) : planned =
         let set = pb.pb_set in
         let pred : pred_fn =
          fun bind ->
-          counters.c_probed <- counters.c_probed + 1;
+          counters.rows_probed <- counters.rows_probed + 1;
           match bind.(slot).(i) with
           | Value.Int v -> Some (Hashtbl.mem set v)
           | Value.Null | Value.Float _ | Value.Str _ | Value.Bin _ -> Some false
@@ -1326,20 +1372,20 @@ and plan_select ctx (sel : Sql.select) : planned =
             in
             List.iter
               (fun (pb, _) ->
-                ctx.counters.c_peak_bytes <-
-                  ctx.counters.c_peak_bytes - ((32 * Hashtbl.length pb.pb_set) + 64))
+                ctx.counters.peak_bytes <-
+                  ctx.counters.peak_bytes - ((32 * Hashtbl.length pb.pb_set) + 64))
               subsumed;
             if subsumed <> [] then
-              ctx.counters.c_peak_bytes <-
-                ctx.counters.c_peak_bytes + (8 * Array.length ps.ps_keys) + 48;
+              ctx.counters.peak_bytes <-
+                ctx.counters.peak_bytes + (8 * Array.length ps.ps_keys) + 48;
             kept
           | _ -> my_probes
         in
         (* The materialized candidate list is retained plan state. *)
         (match accesses.(i) with
          | `Content_probe cp ->
-           ctx.counters.c_peak_bytes <-
-             ctx.counters.c_peak_bytes + (8 * Array.length cp.cp_ids) + 48
+           ctx.counters.peak_bytes <-
+             ctx.counters.peak_bytes + (8 * Array.length cp.cp_ids) + 48
          | _ -> ());
         {
           st_slot = slot;
@@ -1349,6 +1395,9 @@ and plan_select ctx (sel : Sql.select) : planned =
           st_probe_labels = List.map (fun (pb, _) -> pb.pb_label) my_probes;
           st_content =
             (match accesses.(i) with `Content_probe _ -> true | _ -> false);
+          st_prof =
+            (if ctx.profile then Some { pf_examined = 0; pf_passed = 0; pf_seconds = 0.0 }
+             else None);
         })
       order
   in
@@ -1409,18 +1458,23 @@ and plan_select ctx (sel : Sql.select) : planned =
       | Some t -> footprint_add ctx t Dep_all
       | None -> ())
     reductions;
-  {
-    pl_ctx = ctx;
-    pl_env = env_slots;
-    pl_pre = pre_filters;
-    pl_steps = steps;
-    pl_project = projections;
-    pl_distinct = sel.Sql.distinct;
-    pl_order_by = order_by;
-    pl_order_preserved = order_preserved;
-    pl_total = Array.length ctx.slots;
-    pl_reductions = List.rev reductions;
-  }
+  let p =
+    {
+      pl_ctx = ctx;
+      pl_env = env_slots;
+      pl_pre = pre_filters;
+      pl_steps = steps;
+      pl_project = projections;
+      pl_distinct = sel.Sql.distinct;
+      pl_order_by = order_by;
+      pl_order_preserved = order_preserved;
+      pl_total = Array.length ctx.slots;
+      pl_reductions = List.rev reductions;
+      pl_subs = List.rev !(ctx.subs);
+    }
+  in
+  parent_subs := (role, p) :: !parent_subs;
+  p
 
 (* Pick the best access for [table]/[alias], given that [bound] tells
    which other aliases are already available and [prev] lists the
@@ -1897,18 +1951,8 @@ and compile_exists ctx (sel : Sql.select) : pred_fn =
   | None ->
     (* Correlated evaluation with early exit. Plan once, execute per
        binding. *)
-    let p = plan_select ctx sel in
-    let counters = ctx.counters in
-    let exception Found in
-    fun outer ->
-      let bind = Array.make p.pl_total [||] in
-      Array.blit outer 0 bind 0 p.pl_env;
-      if not (List.for_all (fun f -> f bind = Some true) p.pl_pre) then Some false
-      else
-        (try
-           exec_steps counters p.pl_steps bind (fun _ -> raise Found);
-           Some false
-         with Found -> Some true)
+    let p = plan_select ctx ~role:"exists subquery (correlated, per binding)" sel in
+    fun outer -> Some (exists_planned ctx.counters p outer)
 
 (* Semi-join rewrite: if every correlated conjunct of the EXISTS is an
    equality between an inner expression and an outer expression, and the
@@ -1920,29 +1964,23 @@ and decorrelate_exists ctx (sel : Sql.select) : pred_fn option =
   | `Correlated -> None
   | `Uncorrelated merged ->
     (* Fully uncorrelated: evaluate once, cache the boolean. *)
-    let p = plan_select ctx merged in
-    let counters = ctx.counters in
+    let p = plan_select ctx ~role:"exists subquery (uncorrelated, evaluated once)" merged in
     let cache = ref None in
-    let exception Found in
     Some
       (fun outer ->
         match !cache with
         | Some b -> Some b
         | None ->
-          let bind = Array.make p.pl_total [||] in
-          Array.blit outer 0 bind 0 p.pl_env;
-          let b =
-            List.for_all (fun f -> f bind = Some true) p.pl_pre
-            &&
-            (try
-               exec_steps counters p.pl_steps bind (fun _ -> raise Found);
-               false
-             with Found -> true)
-          in
+          let b = exists_planned ctx.counters p outer in
           cache := Some b;
           Some b)
   | `Semijoin (pairs, kinds, inner_sel) ->
     let outer_fns = List.map (fun (o, _) -> compile_value ctx o) pairs in
+    let role =
+      Printf.sprintf "exists subquery (decorrelated semi-join, %d key%s)" (List.length pairs)
+        (if List.length pairs = 1 then "" else "s")
+    in
+    let p = plan_select ctx ~role inner_sel in
     let table = ref None in
     let build outer =
       match !table with
@@ -1951,10 +1989,8 @@ and decorrelate_exists ctx (sel : Sql.select) : pred_fn option =
         let t = Hashtbl.create 1024 in
         (* The inner query sees no outer slots it depends on; pass
            the current binding anyway (harmless). *)
-        iter_select_rows ctx inner_sel outer (fun row ->
-            let key =
-              List.map2 (fun kind v -> canon_key kind v) kinds (Array.to_list row)
-            in
+        exec_planned ctx.counters p outer (fun b ->
+            let key = List.map2 (fun kind (fn, _) -> canon_key kind (fn b)) kinds p.pl_project in
             if List.for_all Option.is_some key then
               Hashtbl.replace t (List.map Option.get key) ());
         table := Some t;
@@ -1968,15 +2004,6 @@ and decorrelate_exists ctx (sel : Sql.select) : pred_fn option =
         in
         if List.exists Option.is_none key then Some false
         else Some (Hashtbl.mem t (List.map Option.get key)))
-
-(* Run a select and emit each projected row (no distinct/order). *)
-and iter_select_rows ctx sel outer emit_row =
-  let p = plan_select ctx sel in
-  let bind = Array.make p.pl_total [||] in
-  Array.blit outer 0 bind 0 p.pl_env;
-  if List.for_all (fun f -> f bind = Some true) p.pl_pre then
-    exec_steps ctx.counters p.pl_steps bind (fun b ->
-        emit_row (Array.of_list (List.map (fun (fn, _) -> fn b) p.pl_project)))
 
 (* ------------------------------------------------------------------ *)
 (* Top level                                                           *)
@@ -2055,28 +2082,37 @@ let finalize_union order_cols all =
    build tables) is shared across executions, which is sound as long as
    the database has not changed (enforced by {!run_plan}'s epoch check;
    the one-shot entry points execute immediately). *)
-let compile_select ?(footprint = Hashtbl.create 8) ?(verdicts = Hashtbl.create 16)
-    ~naive ~opts ~counters db (sel : Sql.select) : unit -> result =
-  let ctx = { db; slots = [||]; naive; opts; counters; footprint; verdicts } in
-  let p = plan_select ctx sel in
+let compile_select ctx ~role (sel : Sql.select) : unit -> result =
+  let p = plan_select ctx ~role sel in
   fun () ->
-    let bind = Array.make p.pl_total [||] in
     let out = ref [] in
-    if List.for_all (fun f -> f bind = Some true) p.pl_pre then
-      exec_steps counters p.pl_steps bind (fun b ->
-          let row = Array.of_list (List.map (fun (fn, _) -> fn b) p.pl_project) in
-          let keys = Array.of_list (List.map (fun fn -> fn b) p.pl_order_by) in
-          out := (keys, row) :: !out);
+    exec_planned ctx.counters p [||] (fun b ->
+        let row = Array.of_list (List.map (fun (fn, _) -> fn b) p.pl_project) in
+        let keys = Array.of_list (List.map (fun fn -> fn b) p.pl_order_by) in
+        out := (keys, row) :: !out);
     let rows = finalize_select p (List.rev !out) in
     { columns = List.map snd sel.Sql.projections; rows = List.map snd rows }
 
-let compile_statement ?(footprint = Hashtbl.create 8) ~naive ~opts ~counters db =
-  let verdicts = Hashtbl.create 16 in
-  function
-  | Sql.Select sel -> compile_select ~footprint ~verdicts ~naive ~opts ~counters db sel
+(* A fresh compile scope: its counters and footprint collect everything
+   planned under it, and [subs] ends up holding the top-level selects. *)
+let root_ctx ?(profile = false) ~naive ~opts db =
+  {
+    db;
+    slots = [||];
+    naive;
+    opts;
+    counters = stats_copy stats_zero;
+    profile;
+    subs = ref [];
+    footprint = Hashtbl.create 8;
+    verdicts = Hashtbl.create 16;
+  }
+
+let compile_statement ctx = function
+  | Sql.Select sel -> compile_select ctx ~role:"select" sel
   | Sql.Select_count sel ->
     let counted =
-      compile_select ~footprint ~verdicts ~naive ~opts ~counters db
+      compile_select ctx ~role:"select"
         {
           sel with
           Sql.distinct = false;
@@ -2097,7 +2133,9 @@ let compile_statement ?(footprint = Hashtbl.create 8) ~naive ~opts ~counters db 
              error "UNION branches project different arities")
          branches;
        let compiled =
-         List.map (compile_select ~footprint ~verdicts ~naive ~opts ~counters db) branches
+         List.mapi
+           (fun i -> compile_select ctx ~role:(Printf.sprintf "union branch %d" i))
+           branches
        in
        fun () ->
          let all = List.concat_map (fun run -> (run ()).rows) compiled in
@@ -2105,8 +2143,7 @@ let compile_statement ?(footprint = Hashtbl.create 8) ~naive ~opts ~counters db 
          { columns = List.map snd first.Sql.projections; rows })
 
 let run_statement ~naive ~opts db stmt =
-  Database.with_read db (fun () ->
-      compile_statement ~naive ~opts ~counters:(counters_create ()) db stmt ())
+  Database.with_read db (fun () -> compile_statement (root_ctx ~naive ~opts db) stmt ())
 
 (* ------------------------------------------------------------------ *)
 (* Prepared plans                                                      *)
@@ -2116,27 +2153,26 @@ type plan = {
   plan_db : Database.t;
   mutable plan_epoch : int;
   plan_exec : unit -> result;
-  plan_counters : counters;
+  plan_counters : exec_stats;
   plan_fp : (string, fp_entry) Hashtbl.t;
 }
 
 let prepare ?(opts = default_opts) db stmt =
   Database.with_read db (fun () ->
-      let counters = counters_create () in
-      let footprint = Hashtbl.create 8 in
+      let ctx = root_ctx ~naive:false ~opts db in
       {
         plan_db = db;
         plan_epoch = Database.epoch db;
-        plan_exec = compile_statement ~footprint ~naive:false ~opts ~counters db stmt;
-        plan_counters = counters;
-        plan_fp = footprint;
+        plan_exec = compile_statement ctx stmt;
+        plan_counters = ctx.counters;
+        plan_fp = ctx.footprint;
       })
 
 let plan_epoch p = p.plan_epoch
 
 let plan_valid p = Database.epoch p.plan_db = p.plan_epoch
 
-let plan_stats p = stats_of p.plan_counters
+let plan_stats p = stats_copy p.plan_counters
 
 let plan_footprint p =
   Hashtbl.fold
@@ -2198,127 +2234,35 @@ type step_profile = {
   table : string;
   alias : string;
   access : string;
+  depth : int;
   examined : int;
   passed : int;
   seconds : float;
 }
 
-let access_label : access -> string = function
-  | `Scan -> "full scan"
-  | `Index_eq _ -> "index eq lookup"
-  | `Index_range _ -> "index range scan"
-  | `Index_order _ -> "index order scan"
-  | `Prefix_lookup _ -> "prefix lookups"
-  | `Hash_probe _ -> "hash join"
-  | `Merge_join _ -> "merge join (dewey)"
-  | `Partition_scan _ -> "partition scan"
-  | `Content_probe cp -> Printf.sprintf "content index probe (%s)" cp.cp_kinds
-
-(* EXPLAIN-ANALYZE style execution of one select: like the compiled
-   pipeline with per-step row counters and inclusive per-step wall time
-   (a step's seconds include the steps nested inside its loop). *)
-let run_select_profiled ~opts ~counters db (sel : Sql.select) =
-  let ctx =
-    {
-      db;
-      slots = [||];
-      naive = false;
-      opts;
-      counters;
-      footprint = Hashtbl.create 8;
-      verdicts = Hashtbl.create 16;
-    }
-  in
-  let p = plan_select ctx sel in
-  let steps_arr = Array.of_list p.pl_steps in
-  let nsteps = Array.length steps_arr in
-  let examined = Array.make nsteps 0 in
-  let passed = Array.make nsteps 0 in
-  let seconds = Array.make nsteps 0.0 in
-  let bind = Array.make p.pl_total [||] in
-  let out = ref [] in
-  let rec exec i =
-    if i >= nsteps then begin
-      counters.c_emitted <- counters.c_emitted + 1;
-      let row = Array.of_list (List.map (fun (fn, _) -> fn bind) p.pl_project) in
-      let keys = Array.of_list (List.map (fun fn -> fn bind) p.pl_order_by) in
-      out := (keys, row) :: !out
-    end
-    else begin
-      let st = steps_arr.(i) in
-      let t0 = Unix.gettimeofday () in
-      iter_access counters st.st_table st.st_access bind (fun row_id ->
-          let row = Table.row st.st_table row_id in
-          if Array.length row > 0 then begin
-            examined.(i) <- examined.(i) + 1;
-            bind.(st.st_slot) <- row;
-            if List.for_all (fun f -> f bind = Some true) st.st_filters then begin
-              passed.(i) <- passed.(i) + 1;
-              if st.st_content then
-                counters.c_content_verified <- counters.c_content_verified + 1;
-              exec (i + 1)
-            end
-          end);
-      seconds.(i) <- seconds.(i) +. (Unix.gettimeofday () -. t0)
-    end
-  in
-  if List.for_all (fun f -> f bind = Some true) p.pl_pre then exec 0;
-  let rows = finalize_select p (List.rev !out) in
-  let profiles =
-    List.mapi
-      (fun i st ->
-        {
-          table = Table.name st.st_table;
-          alias = fst p.pl_ctx.slots.(st.st_slot);
-          access =
-            access_label st.st_access
-            ^ (match st.st_probe_labels with
-               | [] -> ""
-               | ls -> " + " ^ String.concat " + " ls);
-          examined = examined.(i);
-          passed = passed.(i);
-          seconds = seconds.(i);
-        })
-      p.pl_steps
-  in
-  ( { columns = List.map snd sel.Sql.projections; rows = List.map snd rows },
-    profiles )
-
 let run_profiled ?(opts = default_opts) db stmt =
   Database.with_read db @@ fun () ->
-  let counters = counters_create () in
-  let result, profiles =
-    match stmt with
-    | Sql.Select sel -> run_select_profiled ~opts ~counters db sel
-    | Sql.Select_count sel ->
-      let counted, profiles =
-        run_select_profiled ~opts ~counters db
-          {
-            sel with
-            Sql.distinct = false;
-            projections = [ Sql.Const (Value.Int 1), "one" ];
-            order_by = [];
-          }
-      in
-      ( { columns = [ "count" ]; rows = [ [| Value.Int (List.length counted.rows) |] ] },
-        profiles )
-    | Sql.Union (branches, order_cols) ->
-      (match branches with
-       | [] -> { columns = []; rows = [] }, []
-       | first :: _ ->
-         let arity = List.length first.Sql.projections in
-         List.iter
-           (fun b ->
-             if List.length b.Sql.projections <> arity then
-               error "UNION branches project different arities")
-           branches;
-         let results = List.map (run_select_profiled ~opts ~counters db) branches in
-         let all = List.concat_map (fun (r, _) -> r.rows) results in
-         let rows = finalize_union order_cols all in
-         ( { columns = List.map snd first.Sql.projections; rows },
-           List.concat_map snd results ))
+  let ctx = root_ctx ~profile:true ~naive:false ~opts db in
+  let result = compile_statement ctx stmt () in
+  let rec profiles depth (_, p) =
+    List.filter_map
+      (fun st ->
+        Option.map
+          (fun pf ->
+            {
+              table = Table.name st.st_table;
+              alias = fst p.pl_ctx.slots.(st.st_slot);
+              access = describe_access st.st_access st.st_probe_labels;
+              depth;
+              examined = pf.pf_examined;
+              passed = pf.pf_passed;
+              seconds = pf.pf_seconds;
+            })
+          st.st_prof)
+      p.pl_steps
+    @ List.concat_map (profiles (depth + 1)) p.pl_subs
   in
-  result, profiles, stats_of counters
+  result, List.concat_map (profiles 0) (List.rev !(ctx.subs)), ctx.counters
 
 let run ?(opts = default_opts) db stmt = run_statement ~naive:false ~opts db stmt
 
@@ -2326,131 +2270,44 @@ let run_naive db stmt = run_statement ~naive:true ~opts:default_opts db stmt
 
 let explain ?(opts = default_opts) db stmt =
   Database.with_read db @@ fun () ->
+  let ctx = root_ctx ~naive:false ~opts db in
+  let (_ : unit -> result) = compile_statement ctx stmt in
   let buf = Buffer.create 256 in
-  let verdicts = Hashtbl.create 16 in
-  (* EXISTS sub-selects anywhere in a predicate tree, outermost first. *)
-  let rec exists_subs (e : Sql.expr) acc =
-    match e with
-    | Sql.Exists sub -> sub :: acc
-    | Sql.And (a, b) | Sql.Or (a, b) -> exists_subs a (exists_subs b acc)
-    | Sql.Not a -> exists_subs a acc
-    | _ -> acc
-  in
-  let rec describe_select ?(slots = [||]) prefix (sel : Sql.select) =
-    let ctx =
-      {
-        db;
-        slots;
-        naive = false;
-        opts;
-        counters = counters_create ();
-        footprint = Hashtbl.create 8;
-        verdicts;
-      }
-    in
-    let p = plan_select ctx sel in
+  let line prefix fmt = Printf.ksprintf (fun l -> Buffer.add_string buf (prefix ^ l ^ "\n")) fmt in
+  (* Each sub-query is described under a header naming how the executor
+     runs it (the role it was planned with), one level deeper. *)
+  let rec describe prefix p =
     List.iter
       (fun rd ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "%ssemi-join reduction: %s(%s) REGEXP '%s' -> %d of %d path ids, probed on %s.%s\n"
-             prefix rd.rd_dim_table rd.rd_dim_alias rd.rd_pattern rd.rd_matched
-             rd.rd_total rd.rd_fact_alias rd.rd_fact_col))
+        line prefix "semi-join reduction: %s(%s) REGEXP '%s' -> %d of %d path ids, probed on %s.%s"
+          rd.rd_dim_table rd.rd_dim_alias rd.rd_pattern rd.rd_matched rd.rd_total
+          rd.rd_fact_alias rd.rd_fact_col)
       p.pl_reductions;
-    if p.pl_pre <> [] then
-      Buffer.add_string buf
-        (Printf.sprintf "%sconstant filters: %d\n" prefix (List.length p.pl_pre));
+    if p.pl_pre <> [] then line prefix "constant filters: %d" (List.length p.pl_pre);
     List.iter
       (fun st ->
-        let alias = fst p.pl_ctx.slots.(st.st_slot) in
-        let access_str =
-          match st.st_access with
-          | `Scan -> "full scan"
-          | `Index_eq (tree, fns) ->
-            Printf.sprintf "index eq lookup (%d cols, width %d)" (Array.length fns)
-              (Btree.width tree)
-          | `Index_range (tree, fns, lo, hi) ->
-            Printf.sprintf "index range scan (eq prefix %d, lo %s, hi %s, width %d)"
-              (Array.length fns)
-              (if lo = None then "-inf" else "bound")
-              (if hi = None then "+inf" else "bound")
-              (Btree.width tree)
-          | `Index_order tree ->
-            Printf.sprintf "index order scan (width %d)" (Btree.width tree)
-          | `Prefix_lookup (tree, _, _) ->
-            Printf.sprintf "prefix lookups (width %d)" (Btree.width tree)
-          | `Hash_probe hp ->
-            Printf.sprintf "hash join (build %s.%s)" (Table.name hp.hp_table) hp.hp_col
-          | `Merge_join mj ->
-            Printf.sprintf "merge join (dewey) (sort %s.%s%s, lo %s, hi %s)"
-              (Table.name mj.mj_table) mj.mj_key_col
-              (if String.equal mj.mj_suffix "" then "" else " || sentinel")
-              (if mj.mj_lo = None then "-inf" else "bound")
-              (if mj.mj_hi = None then "+inf" else "bound")
-          | `Partition_scan ps ->
-            Printf.sprintf
-              "partition scan (%s order), partitions: scanned %d/%d (pruned %d, %d rows)"
-              ps.ps_sort_col (Array.length ps.ps_keys) ps.ps_total
-              (ps.ps_total - Array.length ps.ps_keys)
-              ps.ps_rows
-          | `Content_probe cp ->
-            Printf.sprintf
-              "content index probe (%s) on %s (%d literal groups -> %d candidates)"
-              cp.cp_kinds cp.cp_col cp.cp_groups (Array.length cp.cp_ids)
-        in
-        let probe_str =
-          match st.st_probe_labels with
-          | [] -> ""
-          | ls -> " + " ^ String.concat " + " ls
-        in
-        let residual = List.length st.st_filters - List.length st.st_probe_labels in
-        Buffer.add_string buf
-          (Printf.sprintf "%sstep %s(%s): %s%s, %d residual filters\n" prefix
-             (Table.name st.st_table) alias access_str probe_str residual))
+        line prefix "step %s(%s): %s, %d residual filters" (Table.name st.st_table)
+          (fst p.pl_ctx.slots.(st.st_slot))
+          (describe_access st.st_access st.st_probe_labels)
+          (List.length st.st_filters - List.length st.st_probe_labels))
       p.pl_steps;
-    if p.pl_distinct then Buffer.add_string buf (Printf.sprintf "%sdistinct\n" prefix);
+    if p.pl_distinct then line prefix "distinct";
     if p.pl_order_by <> [] then
       if p.pl_order_preserved then
-        Buffer.add_string buf
-          (Printf.sprintf "%sorder: preserved (%d keys, sort elided)\n" prefix
-             (List.length p.pl_order_by))
-      else
-        Buffer.add_string buf
-          (Printf.sprintf "%ssort (%d keys)\n" prefix (List.length p.pl_order_by));
-    (* Recurse into EXISTS sub-selects with this select's aliases in
-       scope, classified exactly as decorrelate_exists will classify
-       them at run time. *)
-    let subs =
-      match sel.Sql.where with None -> [] | Some w -> exists_subs w []
-    in
+        line prefix "order: preserved (%d keys, sort elided)" (List.length p.pl_order_by)
+      else line prefix "sort (%d keys)" (List.length p.pl_order_by);
     List.iter
-      (fun sub ->
-        match exists_shape p.pl_ctx sub with
-        | `Uncorrelated merged ->
-          Buffer.add_string buf
-            (Printf.sprintf "%sexists subquery (uncorrelated, evaluated once):\n"
-               prefix);
-          describe_select ~slots:p.pl_ctx.slots (prefix ^ "  ") merged
-        | `Semijoin (pairs, _, inner_sel) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "%sexists subquery (decorrelated semi-join, %d key%s):\n" prefix
-               (List.length pairs)
-               (if List.length pairs = 1 then "" else "s"));
-          describe_select ~slots:p.pl_ctx.slots (prefix ^ "  ") inner_sel
-        | `Correlated ->
-          Buffer.add_string buf
-            (Printf.sprintf "%sexists subquery (correlated, per binding):\n"
-               prefix);
-          describe_select ~slots:p.pl_ctx.slots (prefix ^ "  ") sub)
-      subs
+      (fun (role, sub) ->
+        line prefix "%s:" role;
+        describe (prefix ^ "  ") sub)
+      p.pl_subs
   in
-  (match stmt with
-   | Sql.Select sel | Sql.Select_count sel -> describe_select "" sel
-   | Sql.Union (branches, _) ->
-     List.iteri
-       (fun i b ->
-         Buffer.add_string buf (Printf.sprintf "union branch %d:\n" i);
-         describe_select "  " b)
-       branches);
+  List.iter
+    (fun (role, p) ->
+      match stmt with
+      | Sql.Union _ ->
+        line "" "%s:" role;
+        describe "  " p
+      | Sql.Select _ | Sql.Select_count _ -> describe "" p)
+    (List.rev !(ctx.subs));
   Buffer.contents buf

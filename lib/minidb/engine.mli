@@ -70,41 +70,51 @@ val default_opts : opts
     Operator-level counters accumulated by every plan: one snapshot per
     plan ({!plan_stats}), deltas via {!stats_diff}. Plan-time work (the
     reduction's regex sweep over the dimension table) is counted too, so
-    a freshly prepared plan already has non-zero stats. *)
+    a freshly prepared plan already has non-zero stats.
 
-type exec_stats = {
-  rows_scanned : int;  (** rows fetched through access paths (incl. hash and merge builds) *)
-  rows_probed : int;  (** hash-join and pathid-set probe operations *)
-  rows_emitted : int;  (** bindings surviving every join step *)
-  regex_plan_evals : int;
+    The record is [private]: callers read its fields but cannot build or
+    mutate one. Each counter has one entry in the engine's counter table
+    (JSON name, printed label, getter, setter); add, diff,
+    {!stats_to_list} and every listing built on it (metrics JSON and
+    dump, [ppfx explain]) derive from that table. Adding a counter is
+    one field here and in the implementation, its [0] in the zero
+    literal (the compiler asks for it), one table entry and its
+    increment site. *)
+
+type exec_stats = private {
+  mutable rows_scanned : int;
+      (** rows fetched through access paths (incl. hash and merge builds) *)
+  mutable rows_probed : int;  (** hash-join and pathid-set probe operations *)
+  mutable rows_emitted : int;  (** bindings surviving every join step *)
+  mutable regex_plan_evals : int;
       (** plan-time regex executions: the semi-join reduction's sweep over
           the dimension table on a verdict-cache miss *)
-  regex_exec_evals : int;
+  mutable regex_exec_evals : int;
       (** exec-time NFA-backed regex executions — REGEXP_LIKE predicates
           whose pattern could not be frozen into a shared dense DFA. Zero
           on every common path; the bench's regression gate. *)
-  dfa_execs : int;
+  mutable dfa_execs : int;
       (** exec-time executions of a shared frozen DFA (content-index
           candidate verification and residual REGEXP_LIKE filters) *)
-  hash_builds : int;  (** hash-join build tables materialized *)
-  reductions : int;  (** path-filter semi-join reductions applied *)
-  merge_probes : int;  (** merge-join probe operations (one per outer binding) *)
-  merge_steps : int;  (** merge cursor forward advances *)
-  merge_backtracks : int;  (** merge cursor band-join backward slides *)
-  partitions_scanned : int;
+  mutable hash_builds : int;  (** hash-join build tables materialized *)
+  mutable reductions : int;  (** path-filter semi-join reductions applied *)
+  mutable merge_probes : int;  (** merge-join probe operations (one per outer binding) *)
+  mutable merge_steps : int;  (** merge cursor forward advances *)
+  mutable merge_backtracks : int;  (** merge cursor band-join backward slides *)
+  mutable partitions_scanned : int;
       (** partitions a pruned partition scan touched (per execution) *)
-  partitions_pruned : int;
+  mutable partitions_pruned : int;
       (** partitions a pruned partition scan skipped (per execution) *)
-  content_probes : int;
+  mutable content_probes : int;
       (** content-index probes: one per content-probe access per
           execution *)
-  content_candidates : int;
+  mutable content_candidates : int;
       (** candidate rows produced by content-index probes (the rows the
           probe step scans instead of the whole table) *)
-  content_verified : int;
+  mutable content_verified : int;
       (** candidates that survived DFA verification (the probe step's
           residual filters) *)
-  peak_bytes : int;
+  mutable peak_bytes : int;
       (** estimated peak resident bytes of plan-owned materializations:
           hash-join build tables, semi-join pathid sets, merge-join
           sorted arrays. These live for the plan's lifetime, so the
@@ -116,8 +126,20 @@ val stats_zero : exec_stats
 val stats_add : exec_stats -> exec_stats -> exec_stats
 
 val stats_diff : exec_stats -> exec_stats -> exec_stats
-(** [stats_diff after before]: per-field subtraction, for deltas around a
-    single execution of a long-lived plan. *)
+(** [stats_diff after before]: per-counter subtraction, for deltas around
+    a single execution of a long-lived plan. *)
+
+val stats_to_list : exec_stats -> (string * string * int) list
+(** Every counter as [(json name, label, value)], in declaration order;
+    e.g. [("regex_exec_evals", "exec regex evals", 0)]. *)
+
+val stats_of_list : (string * int) list -> exec_stats
+(** The stats with the named counters set and every other counter zero.
+    Raises [Invalid_argument] on a name {!stats_to_list} does not list. *)
+
+val stats_lines : exec_stats -> string list
+(** [stats_to_list] printed as ["label value"] pairs, six to a line, as
+    [ppfx explain] and the metrics dump show them. *)
 
 val run : ?opts:opts -> Database.t -> Sql.statement -> result
 
@@ -180,26 +202,32 @@ val plan_stats : plan -> exec_stats
     {!stats_diff} the two to attribute work to that execution. *)
 
 val explain : ?opts:opts -> Database.t -> Sql.statement -> string
-(** Human-readable plan: applied semi-join reductions first, then one
-    line per step with its access path ([hash join], [content index
-    probe] and pathid set probes included). EXISTS sub-selects are
-    described recursively, annotated with how the executor will treat
-    them (uncorrelated / decorrelated semi-join / correlated). *)
+(** Human-readable plan, read off the same compiled pipeline {!run}
+    executes: applied semi-join reductions first, then one line per step
+    with its access path ([hash join], [content index probe] and pathid
+    set probes included). Sub-queries (EXISTS, scalar COUNT) follow their
+    select, indented, under a header saying how the executor runs them
+    (uncorrelated / decorrelated semi-join / correlated). *)
 
 type step_profile = {
   table : string;
   alias : string;
   access : string;  (** access path, plus any pathid set probes *)
+  depth : int;
+      (** 0 for a step of a top-level select (or UNION branch), 1 for a
+          step of a sub-query inside it, and so on *)
   examined : int;  (** rows fetched through the access path *)
   passed : int;  (** rows surviving this step's residual filters *)
   seconds : float;
       (** inclusive wall time: a step's loop body contains all later
-          steps, so outer steps subsume inner ones *)
+          steps and the sub-queries its filters run *)
 }
 
 val run_profiled :
   ?opts:opts -> Database.t -> Sql.statement -> result * step_profile list * exec_stats
-(** Like {!run}, additionally reporting per-step row counts and times for
-    the top-level select(s) (EXPLAIN-ANALYZE style; sub-queries are not
-    instrumented) and the run's operator counters. Union branches
-    concatenate their profiles. *)
+(** Like {!run} through the same compiled pipeline, additionally reporting
+    actual row counts and times for every step of every select —
+    EXPLAIN-ANALYZE style — and the run's operator counters. Steps come
+    in {!explain} order: a select's steps, then those of each sub-query
+    planned inside it; counts of a correlated sub-query add up over all
+    its executions. *)

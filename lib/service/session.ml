@@ -122,7 +122,9 @@ let execute t (p : prepared) =
     in
     (* A commit may land between the compatibility check and run_plan's
        own locked re-check; one re-plan retry absorbs that race. *)
-    (try run plan with Engine.Runtime_error _ -> run (replan t p stmt))
+    let result = try run plan with Engine.Runtime_error _ -> run (replan t p stmt) in
+    Metrics.add_rows t.metrics (List.length result.Engine.rows);
+    result
 
 let execute_ids t p =
   match p.sql with

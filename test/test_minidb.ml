@@ -639,6 +639,51 @@ let sql_tests =
         (* profiled and plain execution agree *)
         Alcotest.(check bool) "same rows" true
           (result.Engine.rows = (Engine.run db (Sql.Select sel)).Engine.rows) );
+    ( "profiled execution reports correlated EXISTS sub-plan steps",
+      fun () ->
+        let db = people_db () in
+        (* departments with a member whose id exceeds the department id by
+           more than 2: the non-equality correlation keeps the EXISTS
+           correlated, so its sub-plan runs once per department *)
+        let sel =
+          select
+            [ col "d" "name", "dept" ]
+            [ "depts", "d" ]
+            ~where:
+              (Sql.Exists
+                 (select
+                    [ int_ 1, "one" ]
+                    [ "people", "p" ]
+                    ~where:
+                      (Sql.And
+                         ( Sql.Cmp (Sql.Eq, col "p" "dept_id", col "d" "id"),
+                           Sql.Cmp
+                             (Sql.Gt, col "p" "id", Sql.Arith (Sql.Add, col "d" "id", int_ 2))
+                         ))))
+        in
+        let result, profiles, _stats = Engine.run_profiled db (Sql.Select sel) in
+        Alcotest.(check bool) "same rows as Engine.run" true
+          (result.Engine.rows = (Engine.run db (Sql.Select sel)).Engine.rows);
+        Alcotest.(check int) "one department qualifies" 1 (List.length result.Engine.rows);
+        Alcotest.(check (list (pair string int))) "outer step, then the sub-plan's"
+          [ "d", 0; "p", 1 ]
+          (List.map (fun p -> p.Engine.alias, p.Engine.depth) profiles);
+        let d = List.find (fun p -> p.Engine.alias = "d") profiles in
+        Alcotest.(check int) "depts examined" 3 d.Engine.examined;
+        Alcotest.(check int) "depts passed" 1 d.Engine.passed;
+        (* per department, the dept_id index yields its members until the
+           first match: eng 1, 2, 6 (6 matches); sales 3, 4; legal 5 *)
+        let p = List.find (fun p -> p.Engine.alias = "p") profiles in
+        Alcotest.(check int) "people examined over all executions" 6 p.Engine.examined;
+        Alcotest.(check int) "people passed" 1 p.Engine.passed;
+        (* EXPLAIN reads the same compiled sub-plan *)
+        let plan = Engine.explain db (Sql.Select sel) in
+        let needle = "exists subquery (correlated, per binding):\n  step people(p)" in
+        let rec has i =
+          i + String.length needle <= String.length plan
+          && (String.sub plan i (String.length needle) = needle || has (i + 1))
+        in
+        Alcotest.(check bool) "explain shows the sub-plan" true (has 0) );
     ( "explain mentions index usage",
       fun () ->
         let db = people_db () in

@@ -16,9 +16,9 @@ module Client = Ppfx_client.Client
 module Pool = Ppfx_client.Pool
 module Row = Ppfx_client.Row
 
-let store =
-  let doc = Doc.of_tree (Xmark.generate ~items_per_region:3 ()) in
-  Loader.shred (Xmark.schema ()) doc
+let tree = Xmark.generate ~items_per_region:3 ()
+
+let store = Loader.shred (Xmark.schema ()) (Doc.of_tree tree)
 
 let factory () = Server.session_executor (Session.create store)
 
@@ -75,6 +75,29 @@ let rows_identical_windowed () =
             (Array.for_all2 Ppfx_minidb.Value.equal a b))
         local.Ppfx_minidb.Engine.rows wire.Ppfx_minidb.Engine.rows)
     [ "Q1", Xmark.query "Q1"; "Q3", Xmark.query "Q3"; "Q6", Xmark.query "Q6" ]
+
+(* Every entry point counts a query's result rows once: the in-process
+   session, the sharded cluster (scatter-merge and single-store
+   fallback) and the wire server all report the same [rows]. *)
+let rows_metric_agrees () =
+  List.iter
+    (fun q ->
+      let session = Session.create store in
+      let expected = List.length (Session.run session q).Ppfx_minidb.Engine.rows in
+      Alcotest.(check bool) (q ^ " has rows") true (expected > 0);
+      Alcotest.(check int) (q ^ " session rows") expected
+        (Metrics.rows (Session.metrics session));
+      Ppfx_cluster.Cluster.with_cluster ~pool_size:0 ~shards:3 (Xmark.schema ()) [ tree ]
+        (fun c ->
+          ignore (Ppfx_cluster.Cluster.run c q);
+          Alcotest.(check int) (q ^ " cluster rows") expected
+            (Metrics.rows (Ppfx_cluster.Cluster.metrics c)));
+      with_server @@ fun server ->
+      with_client server @@ fun client ->
+      ignore (Client.run_result client q);
+      Alcotest.(check int) (q ^ " server rows") expected
+        (Metrics.rows (Server.metrics server)))
+    [ "//item/name"; "//parlist[count(listitem) >= 2]" ]
 
 let typed_rows () =
   with_server @@ fun server ->
@@ -372,6 +395,8 @@ let () =
           Alcotest.test_case "windowed fetch reassembles rows" `Quick
             rows_identical_windowed;
           Alcotest.test_case "typed row accessors" `Quick typed_rows;
+          Alcotest.test_case "session, cluster and server count the same rows"
+            `Quick rows_metric_agrees;
         ] );
       ( "concurrency",
         [ Alcotest.test_case "8 threads through a 4-conn pool" `Quick

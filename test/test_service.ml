@@ -164,6 +164,96 @@ let test_metrics_dump () =
     [ "\"queries\":1"; "\"misses\":1"; "\"translate\":{\"count\":1" ]
 
 (* ------------------------------------------------------------------ *)
+(* The engine counter table                                            *)
+(* ------------------------------------------------------------------ *)
+
+let counter_names = List.map (fun (name, _, _) -> name) (Engine.stats_to_list Engine.stats_zero)
+
+let counter_labels =
+  List.map (fun (_, label, _) -> label) (Engine.stats_to_list Engine.stats_zero)
+
+let occurrences ~needle haystack =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i acc =
+    if i + n > h then acc
+    else go (i + 1) (if String.sub haystack i n = needle then acc + 1 else acc)
+  in
+  go 0 0
+
+let gen_stats =
+  QCheck.Gen.(
+    map
+      (fun vs -> Engine.stats_of_list (List.combine counter_names vs))
+      (list_repeat (List.length counter_names) (int_bound 1_000_000)))
+
+let prop_stats_diff_inverts_add =
+  QCheck.Test.make ~count:300 ~name:"stats_diff (stats_add a b) b = a"
+    (QCheck.make (QCheck.Gen.pair gen_stats gen_stats))
+    (fun (a, b) -> Engine.stats_diff (Engine.stats_add a b) b = a)
+
+let test_counter_table_covers_record () =
+  (* every field of the (all-int) record has exactly one table entry *)
+  Alcotest.(check int) "one table entry per field"
+    (Obj.size (Obj.repr Engine.stats_zero))
+    (List.length counter_names);
+  Alcotest.(check int) "names are distinct" (List.length counter_names)
+    (List.length (List.sort_uniq String.compare counter_names))
+
+let test_counter_table_json () =
+  let m = Metrics.create () in
+  Metrics.add_engine m (Engine.stats_of_list (List.mapi (fun i n -> n, 100 + i) counter_names));
+  let json = Metrics.to_json m in
+  let engine =
+    let key = "\"engine\":{" in
+    let rec find i = if String.sub json i (String.length key) = key then i else find (i + 1) in
+    let start = find 0 + String.length key in
+    String.sub json start (String.index_from json start '}' - start)
+  in
+  List.iteri
+    (fun i name ->
+      Alcotest.(check int) (name ^ " is one engine key") 1
+        (occurrences ~needle:(Printf.sprintf "\"%s\":" name) engine);
+      Alcotest.(check int) (name ^ " carries its value") 1
+        (occurrences ~needle:(Printf.sprintf "\"%s\":%d" name (100 + i)) engine))
+    counter_names;
+  Alcotest.(check int) "no other engine keys" (List.length counter_names)
+    (occurrences ~needle:"\":" engine)
+
+(* The counter lines of [ppfx explain] (after the per-step profile)
+   print every counter label exactly once. *)
+let test_counter_table_explain () =
+  let ppfx =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/ppfx.exe" |> Filename.quote
+  in
+  let xml = Filename.temp_file "ppfx_counters" ".xml" in
+  let out = Filename.temp_file "ppfx_counters" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove xml; Sys.remove out)
+    (fun () ->
+      let sh fmt = Printf.ksprintf (fun c -> Alcotest.(check int) c 0 (Sys.command c)) fmt in
+      sh "%s gen xmark -s 1 -o %s > /dev/null" ppfx (Filename.quote xml);
+      sh "%s explain -d %s '//item/name' > %s" ppfx (Filename.quote xml) (Filename.quote out);
+      let lines = In_channel.with_open_text out In_channel.input_lines in
+      let rec after_last_sep acc = function
+        | [] -> acc
+        | "--" :: rest -> after_last_sep rest rest
+        | _ :: rest -> after_last_sep acc rest
+      in
+      let counters =
+        List.filter
+          (fun l -> not (String.starts_with ~prefix:"step " (String.trim l)))
+          (after_last_sep lines lines)
+        |> String.concat "\n"
+      in
+      List.iter
+        (fun label ->
+          Alcotest.(check int) (label ^ " printed once") 1
+            (occurrences ~needle:(label ^ " ") counters))
+        counter_labels;
+      Alcotest.(check bool) "CI golden: exec regex evals 0" true
+        (occurrences ~needle:"exec regex evals 0" counters = 1))
+
+(* ------------------------------------------------------------------ *)
 (* Engine prepared plans                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -412,6 +502,14 @@ let () =
       ( "metrics",
         List.map tc
           [ "accumulators", test_metrics_accumulators; "dump", test_metrics_dump ] );
+      ( "counter-table",
+        List.map tc
+          [
+            "covers the record", test_counter_table_covers_record;
+            "metrics json keys", test_counter_table_json;
+            "ppfx explain labels", test_counter_table_explain;
+          ]
+        @ [ QCheck_alcotest.to_alcotest prop_stats_diff_inverts_add ] );
       ( "engine-plans",
         List.map tc
           [
