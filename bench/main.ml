@@ -1161,9 +1161,13 @@ let net () =
 module Update = Ppfx_update.Update
 module Xtree = Ppfx_xml.Tree
 
-(* Three measurements of the lib/update write path:
+(* Four measurements of the lib/update write path:
    - mutations/sec by subtree size (text patch, small fragment insert,
      full item-subtree insert, subtree delete);
+   - the deterministic work of one write of each kind at --small N and
+     4N: its encoded log record bytes and the content-index postings
+     its commit changes. A leaf set-text must cost the same at both
+     sizes (the CI gate);
    - a 90/10 read/write mix over a warm session: plan-cache retention
      with fine-grained invalidation vs the whole-epoch baseline (the
      optimization off), from the plans-retained / plans-invalidated
@@ -1259,7 +1263,74 @@ let write_bench () =
         inserted_items := rest;
         ignore (Update.exec u (Update.Delete_subtree { target = id }))
       | [] -> ());
-  (* (b) 90/10 read/write mix: plan retention vs whole-epoch *)
+  (* (b) per-op deterministic work at two document sizes *)
+  let op_work items =
+    let u = Update.create schema [ Xmark.generate ~items_per_region:items () ] in
+    let first tag = List.fold_left min max_int (by_tag u tag) in
+    let people = first "people" in
+    let postings () =
+      List.fold_left
+        (fun acc t -> acc + Ppfx_minidb.Table.postings_changed t)
+        0
+        (Ppfx_minidb.Database.tables (Update.db u))
+    in
+    let measure op =
+      let cs = Update.stage u op in
+      let bytes =
+        String.length
+          (Ppfx_wal.Record.encode
+             { Ppfx_wal.Record.r_seq = 1; r_op = Some op; r_inserts = true; r_cs = cs;
+               r_extras = None })
+      in
+      let splices =
+        List.fold_left
+          (fun acc -> function
+            | Update.Row_update { cells; _ } ->
+              acc + List.length (List.filter (function Update.Splice _ -> true | Update.Set _ -> false) cells)
+            | Update.Row_insert _ | Update.Row_delete _ -> acc)
+          0 cs.Update.cs_ops
+      in
+      let p0 = postings () in
+      Update.commit (Update.db u) cs;
+      (bytes, postings () - p0, splices)
+    in
+    [
+      ("set-text", measure (Update.Set_text { target = first "location"; text = "Atlantis" }));
+      ( "set-attribute",
+        measure
+          (Update.Set_attribute { target = first "item"; name = "featured"; value = Some "yes" })
+      );
+      ( "insert-small-fragment",
+        measure (Update.Insert_subtree { parent = people; before = None; fragment = person_frag })
+      );
+      ( "delete-subtree",
+        measure
+          (Update.Delete_subtree
+             { target = List.fold_left max 0 (Update.node_children u people) }) );
+    ]
+  in
+  let small_n = config.small and large_n = 4 * config.small in
+  let at_small = op_work small_n and at_large = op_work large_n in
+  Printf.printf "  per-op work, --small %d -> %d (log record bytes; postings changed):\n"
+    small_n large_n;
+  List.iter2
+    (fun (name, (b1, p1, _)) (_, (b4, p4, _)) ->
+      Printf.printf "    %-24s %7d B -> %7d B   %5d -> %5d postings\n" name b1 b4 p1 p4;
+      record ~dataset ~query:("work-" ^ name) ~engine:"update" ~nodes:small_n ~seconds:nan
+        ~extra:
+          (Printf.sprintf
+             "\"record_bytes\":%d,\"record_bytes_4x\":%d,\"postings\":%d,\"postings_4x\":%d"
+             b1 b4 p1 p4)
+        ())
+    at_small at_large;
+  (* Flat: the same bytes, up to the varint width of the two
+     size-bearing integers per splice (offset and [len_before]), each of
+     which may take one more byte at 4x the size. *)
+  let b1, p1, splices = List.assoc "set-text" at_small and b4, p4, _ = List.assoc "set-text" at_large in
+  Printf.printf "  set-text changeset bytes flat in document size: %b\n"
+    (b4 >= b1 && b4 - b1 <= 2 * splices);
+  Printf.printf "  set-text postings changed flat in document size: %b\n" (p4 <= p1);
+  (* (c) 90/10 read/write mix: plan retention vs whole-epoch *)
   let mixed fine_grained =
     let u = Update.create schema [ tree ] in
     let session = Session.create ~fine_grained (Update.store u) in
@@ -1305,7 +1376,7 @@ let write_bench () =
   print_endline "  90/10 read/write mix over a warm session:";
   mixed true;
   mixed false;
-  (* (c) adversarial label growth: always insert before the first child *)
+  (* (d) adversarial label growth: always insert before the first child *)
   let u = Update.create schema [ tree ] in
   let text_el = List.hd (by_tag u "text") in
   let base_len = Update.max_label_len u in

@@ -335,6 +335,12 @@ let owner_shard t (rt : Update.routing) =
       lightest t)
 
 let update t op =
+  (* After a failed append the shadow may be ahead of the relations
+     (and one log ahead of another): refuse every write before staging
+     it, until the cluster is reopened from its data directory. *)
+  List.iter
+    (fun w -> Option.iter (fun why -> raise (Wstore.Refused why)) (Wstore.refusal w))
+    (Option.to_list t.wal @ Array.to_list t.shard_wals);
   let cs = Update.stage t.update op in
   let owner =
     let has_inserts =

@@ -85,7 +85,10 @@ val close : t -> unit
     (partition counts + boundary fks) — and [shard-<k>/] per shard.
     {!update} appends the commit record to every log ({e before}
     applying and acking, fsynced per the durability policy), so at any
-    crash point recovery rebuilds exactly the acked prefix. *)
+    crash point recovery rebuilds exactly the acked prefix. Once any
+    append has failed (or a log is closed), every later {!update}
+    raises {!Wstore.Refused} before staging, until the cluster is
+    reopened from its data directory; queries keep working. *)
 
 val make_durable :
   ?io:Ppfx_wal.Io.t ->

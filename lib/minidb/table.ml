@@ -25,6 +25,9 @@ type content_index = {
   c_pos : int;  (* column position *)
   c_kind : content_kind;
   postings : (string, posting) Hashtbl.t;  (* term -> row ids *)
+  multi : (string * int, int) Hashtbl.t;
+      (* (term, row) -> occurrences of the term in the row, for the few
+         pairs above 1; a posted pair not listed occurs once *)
 }
 
 type t = {
@@ -42,6 +45,8 @@ type t = {
       (** bumped on every insert, delete and index creation; feeds
           {!Database.epoch} so prepared plans can detect staleness *)
   partitioning : partitioning option;
+  mutable postings_changed : int;
+      (** content-index entries (term, row) added or removed so far *)
 }
 
 let create ?partition ~name ~(columns : column list) () =
@@ -90,6 +95,7 @@ let create ?partition ~name ~(columns : column list) () =
     distinct_cache = [];
     version = 0;
     partitioning;
+    postings_changed = 0;
   }
 
 (* ---- partition segment maintenance ------------------------------------ *)
@@ -182,55 +188,59 @@ let part_remove t id values =
 
 let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
 
-(* Distinct terms of a text value under the index kind. Token: maximal
-   whitespace-free runs. Trigram: every 3-byte substring. *)
-let content_terms kind s =
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
+(* Terms of [s.[lo .. hi-1]] under the index kind, each with its number
+   of occurrences. Token: maximal whitespace-free runs. Trigram: every
+   3-byte substring. *)
+let window_terms kind s lo hi =
+  let counts = Hashtbl.create 16 in
   let add t =
-    if not (Hashtbl.mem seen t) then begin
-      Hashtbl.add seen t ();
-      out := t :: !out
-    end
+    match Hashtbl.find_opt counts t with Some k -> incr k | None -> Hashtbl.add counts t (ref 1)
   in
-  let n = String.length s in
   (match kind with
    | Token ->
-     let i = ref 0 in
-     while !i < n do
-       while !i < n && is_space s.[!i] do incr i done;
+     let i = ref lo in
+     while !i < hi do
+       while !i < hi && is_space s.[!i] do incr i done;
        let start = !i in
-       while !i < n && not (is_space s.[!i]) do incr i done;
+       while !i < hi && not (is_space s.[!i]) do incr i done;
        if !i > start then add (String.sub s start (!i - start))
      done
    | Trigram ->
-     for i = 0 to n - 3 do
+     for i = lo to hi - 3 do
        add (String.sub s i 3)
      done);
-  !out
+  counts
+
+let content_terms kind s = window_terms kind s 0 (String.length s)
 
 (* Posting lists mirror the partition segments: ascending row ids,
    O(1) append for the monotone bulk-load case, binary-search insert for
-   out-of-order ids (updates re-filing an old row). *)
+   out-of-order ids. Both return whether the list changed. *)
 let posting_add p id =
-  if p.len = Array.length p.ids then begin
-    let cap = max 8 (2 * Array.length p.ids) in
-    let bigger = Array.make cap 0 in
-    Array.blit p.ids 0 bigger 0 p.len;
-    p.ids <- bigger
-  end;
-  if p.len = 0 || p.ids.(p.len - 1) < id then p.ids.(p.len) <- id
+  let at =
+    if p.len = 0 || p.ids.(p.len - 1) < id then p.len
+    else begin
+      let lo = ref 0 and hi = ref p.len in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if p.ids.(mid) < id then lo := mid + 1 else hi := mid
+      done;
+      !lo
+    end
+  in
+  if at < p.len && p.ids.(at) = id then false
   else begin
-    let lo = ref 0 and hi = ref p.len in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if p.ids.(mid) < id then lo := mid + 1 else hi := mid
-    done;
-    if !lo < p.len && p.ids.(!lo) = id then raise Exit;
-    Array.blit p.ids !lo p.ids (!lo + 1) (p.len - !lo);
-    p.ids.(!lo) <- id
-  end;
-  p.len <- p.len + 1
+    if p.len = Array.length p.ids then begin
+      let cap = max 8 (2 * Array.length p.ids) in
+      let bigger = Array.make cap 0 in
+      Array.blit p.ids 0 bigger 0 p.len;
+      p.ids <- bigger
+    end;
+    if at < p.len then Array.blit p.ids at p.ids (at + 1) (p.len - at);
+    p.ids.(at) <- id;
+    p.len <- p.len + 1;
+    true
+  end
 
 let posting_remove p id =
   let lo = ref 0 and hi = ref p.len in
@@ -240,54 +250,89 @@ let posting_remove p id =
   done;
   if !lo < p.len && p.ids.(!lo) = id then begin
     Array.blit p.ids (!lo + 1) p.ids !lo (p.len - !lo - 1);
-    p.len <- p.len - 1
+    p.len <- p.len - 1;
+    true
   end
+  else false
 
-let content_index_row ci id v =
-  match v with
-  | Value.Str s ->
-    List.iter
-      (fun term ->
-        let p =
-          match Hashtbl.find_opt ci.postings term with
-          | Some p -> p
-          | None ->
-            let p = { ids = [||]; len = 0 } in
-            Hashtbl.add ci.postings term p;
-            p
-        in
-        (try posting_add p id with Exit -> ()))
-      (content_terms ci.c_kind s)
-  | _ -> ()
+(* Occurrences of a posted term in row [id]. Counting them lets an edit
+   that removes one occurrence know at once whether the term still
+   occurs elsewhere in the value. *)
+let occurrences ci term id = Option.value ~default:1 (Hashtbl.find_opt ci.multi (term, id))
 
-let content_unindex_row ci id v =
-  match v with
-  | Value.Str s ->
-    List.iter
-      (fun term ->
-        match Hashtbl.find_opt ci.postings term with
-        | Some p ->
-          posting_remove p id;
+(* Move row [id]'s occurrence count of [term] by [delta], posting or
+   unposting the row (and creating or dropping the posting list) when
+   the count leaves or reaches zero. *)
+let content_adjust t ci id term delta =
+  if delta > 0 then begin
+    let p =
+      match Hashtbl.find_opt ci.postings term with
+      | Some p -> p
+      | None ->
+        let p = { ids = [||]; len = 0 } in
+        Hashtbl.add ci.postings term p;
+        p
+    in
+    if posting_add p id then begin
+      t.postings_changed <- t.postings_changed + 1;
+      if delta > 1 then Hashtbl.replace ci.multi (term, id) delta
+    end
+    else Hashtbl.replace ci.multi (term, id) (occurrences ci term id + delta)
+  end
+  else if delta < 0 then
+    match Hashtbl.find_opt ci.postings term with
+    | None -> ()
+    | Some p ->
+      let left = occurrences ci term id + delta in
+      if left > 1 then Hashtbl.replace ci.multi (term, id) left
+      else begin
+        Hashtbl.remove ci.multi (term, id);
+        if left <= 0 && posting_remove p id then begin
+          t.postings_changed <- t.postings_changed + 1;
           if p.len = 0 then Hashtbl.remove ci.postings term
-        | None -> ())
-      (content_terms ci.c_kind s)
-  | _ -> ()
+        end
+      end
+
+let text_of = function Value.Str s -> s | _ -> ""
+
+(* Keep [ci] current after row [id]'s value went from [old_s] to [new_s]
+   by replacing [del] bytes at [off] with [ins_len] bytes. Only the
+   edited window is re-tokenized: for tokens it widens to whitespace on
+   both sides (the prefix and suffix around the edit are the same bytes
+   in both values, so every token outside the window is unchanged); for
+   trigrams it widens by 2 bytes, the reach of a trigram touching the
+   edit. A term whose occurrence count in the row drops to zero no
+   longer occurs anywhere in the new value and is unposted. *)
+let content_splice t ci id ~old_s ~new_s ~off ~del ~ins_len =
+  let lo, hi =
+    match ci.c_kind with
+    | Token ->
+      let lo = ref off and hi = ref (off + del) in
+      while !lo > 0 && not (is_space old_s.[!lo - 1]) do decr lo done;
+      while !hi < String.length old_s && not (is_space old_s.[!hi]) do incr hi done;
+      !lo, !hi
+    | Trigram -> max 0 (off - 2), min (String.length old_s) (off + del + 2)
+  in
+  let delta = window_terms ci.c_kind new_s lo (hi - del + ins_len) in
+  Hashtbl.iter
+    (fun term k ->
+      match Hashtbl.find_opt delta term with
+      | Some d -> d := !d - !k
+      | None -> Hashtbl.add delta term (ref (- !k)))
+    (window_terms ci.c_kind old_s lo hi);
+  Hashtbl.iter (fun term d -> content_adjust t ci id term !d) delta
+
+(* Post ([sign] = 1) or unpost ([sign] = -1) a whole value. *)
+let content_whole t ci id sign v =
+  Hashtbl.iter
+    (fun term k -> content_adjust t ci id term (sign * !k))
+    (content_terms ci.c_kind (text_of v))
 
 let content_insert t id values =
-  List.iter (fun ci -> content_index_row ci id values.(ci.c_pos)) t.content
+  List.iter (fun ci -> content_whole t ci id 1 values.(ci.c_pos)) t.content
 
 let content_remove t id values =
-  List.iter (fun ci -> content_unindex_row ci id values.(ci.c_pos)) t.content
-
-let content_update t id old_values values =
-  List.iter
-    (fun ci ->
-      let ov = old_values.(ci.c_pos) and nv = values.(ci.c_pos) in
-      if not (Value.equal ov nv) then begin
-        content_unindex_row ci id ov;
-        content_index_row ci id nv
-      end)
-    t.content
+  List.iter (fun ci -> content_whole t ci id (-1) values.(ci.c_pos)) t.content
 
 let name t = t.name
 
@@ -364,32 +409,94 @@ let delete t id =
     true
   end
 
-let update t id values =
-  if id < 0 || id >= t.row_count || Array.length t.rows.(id) = 0 then false
-  else begin
-    if Array.length values <> Array.length t.columns then
-      invalid_arg
-        (Printf.sprintf "Table.update(%s): %d values for %d columns" t.name
-           (Array.length values) (Array.length t.columns));
-    Array.iteri
-      (fun i v ->
+type cell =
+  | Set of string * Value.t
+  | Splice of { col : string; off : int; del : int; ins : string; len_before : int }
+
+(* What one update did to a column, for index maintenance. *)
+type edit = Untouched | Replaced | Spliced of { off : int; del : int; ins_len : int }
+
+let live t id = id >= 0 && id < t.row_count && Array.length t.rows.(id) > 0
+
+let splice_string s ~off ~del ins =
+  let n = String.length s and k = String.length ins in
+  let b = Bytes.create (n - del + k) in
+  Bytes.blit_string s 0 b 0 off;
+  Bytes.blit_string ins 0 b off k;
+  Bytes.blit_string s (off + del) b (off + k) (n - off - del);
+  Bytes.unsafe_to_string b
+
+(* Apply [cells] to a copy of live row [id]: the new row and each
+   column's edit. Raises [Invalid_argument], before anything is
+   mutated, on an unknown column, a mistyped value, or a splice whose
+   [len_before] or window does not fit the stored value. With
+   [~build:false] only the checks run: no spliced value is built. *)
+let staged_row ~build t id cells =
+  let fail fmt =
+    Printf.ksprintf (fun m -> invalid_arg (Printf.sprintf "Table.update(%s): %s" t.name m)) fmt
+  in
+  let values = Array.copy t.rows.(id) in
+  let edits = Array.make (Array.length values) Untouched in
+  (* byte length of each text value as the cells so far left it; -1 when
+     the value is not text *)
+  let lens = Array.map (function Value.Str s -> String.length s | _ -> -1) values in
+  let pos col = match column_index t col with Some i -> i | None -> fail "no column %s" col in
+  List.iter
+    (function
+      | Set (col, v) ->
+        let i = pos col in
         if not (type_ok t.columns.(i).ty v) then
-          invalid_arg
-            (Printf.sprintf "Table.update(%s): value %s does not match column %s : %s"
-               t.name (Value.to_string v) t.columns.(i).name
-               (Format.asprintf "%a" Value.pp_ty t.columns.(i).ty)))
-      values;
+          fail "value %s does not match column %s : %s" (Value.to_string v) col
+            (Format.asprintf "%a" Value.pp_ty t.columns.(i).ty);
+        values.(i) <- v;
+        lens.(i) <- (match v with Value.Str s -> String.length s | _ -> -1);
+        edits.(i) <- Replaced
+      | Splice { col; off; del; ins; len_before } ->
+        let i = pos col in
+        if lens.(i) < 0 then fail "splice on column %s holding %s" col (Value.to_string values.(i));
+        if lens.(i) <> len_before || off < 0 || del < 0 || off + del > len_before then
+          fail "splice of %d bytes at %d on column %s expects a %d-byte value, found %d" del
+            off col len_before lens.(i);
+        lens.(i) <- len_before - del + String.length ins;
+        if build then values.(i) <- Value.Str (splice_string (text_of values.(i)) ~off ~del ins);
+        edits.(i) <-
+          (match edits.(i) with
+           | Untouched -> Spliced { off; del; ins_len = String.length ins }
+           | Replaced | Spliced _ -> Replaced))
+    cells;
+  values, edits
+
+let check_cells t id cells = if live t id then ignore (staged_row ~build:false t id cells)
+
+let update t id cells =
+  if not (live t id) then false
+  else begin
+    let values, edits = staged_row ~build:true t id cells in
     let old_values = t.rows.(id) in
+    let touched i = match edits.(i) with Untouched -> false | Replaced | Spliced _ -> true in
     List.iter
       (fun (_, positions, tree) ->
-        let old_key = Array.map (fun p -> old_values.(p)) positions in
-        let new_key = Array.map (fun p -> values.(p)) positions in
-        if old_key <> new_key then begin
-          ignore (Btree.delete tree old_key id);
-          Btree.insert tree new_key id
+        if Array.exists touched positions then begin
+          let old_key = Array.map (fun p -> old_values.(p)) positions in
+          let new_key = Array.map (fun p -> values.(p)) positions in
+          if old_key <> new_key then begin
+            ignore (Btree.delete tree old_key id);
+            Btree.insert tree new_key id
+          end
         end)
       t.indexes;
-    content_update t id old_values values;
+    List.iter
+      (fun ci ->
+        let old_s = text_of old_values.(ci.c_pos) and new_s = text_of values.(ci.c_pos) in
+        match edits.(ci.c_pos) with
+        | Untouched -> ()
+        | Spliced { off; del; ins_len } ->
+          content_splice t ci id ~old_s ~new_s ~off ~del ~ins_len
+        | Replaced ->
+          if not (String.equal old_s new_s) then
+            content_splice t ci id ~old_s ~new_s ~off:0 ~del:(String.length old_s)
+              ~ins_len:(String.length new_s))
+      t.content;
     (match t.partitioning with
      | Some pn
        when not
@@ -403,6 +510,8 @@ let update t id values =
     t.version <- t.version + 1;
     true
   end
+
+let postings_changed t = t.postings_changed
 
 let row_count t = t.row_count
 
@@ -592,8 +701,11 @@ let add_content_index t ~col ~kind =
        invalid_arg
          (Printf.sprintf "Table.add_content_index(%s): column %s is not text"
             t.name col));
-    let ci = { c_col = col; c_pos = pos; c_kind = kind; postings = Hashtbl.create 256 } in
-    iter_rows (fun id values -> content_index_row ci id values.(pos)) t;
+    let ci =
+      { c_col = col; c_pos = pos; c_kind = kind; postings = Hashtbl.create 256;
+        multi = Hashtbl.create 64 }
+    in
+    iter_rows (fun id values -> content_whole t ci id 1 values.(pos)) t;
     t.content <- t.content @ [ ci ];
     t.version <- t.version + 1
   end
@@ -706,36 +818,43 @@ let check_content_indexes t =
   let err fmt = Printf.ksprintf (fun s -> Error (t.name ^ ": " ^ s)) fmt in
   let check_one ci =
     (* Rebuild the expected postings from the live rows and require the
-       stored table to match exactly (same terms, same sorted ids). *)
+       stored table to match exactly (same terms, same sorted ids, same
+       occurrence counts). *)
     let expected = Hashtbl.create 256 in
     iter_rows
       (fun id values ->
-        match values.(ci.c_pos) with
-        | Value.Str s ->
-          List.iter
-            (fun term ->
-              let l = try Hashtbl.find expected term with Not_found -> [] in
-              Hashtbl.replace expected term (id :: l))
-            (content_terms ci.c_kind s)
-        | _ -> ())
+        Hashtbl.iter
+          (fun term k ->
+            let l = try Hashtbl.find expected term with Not_found -> [] in
+            Hashtbl.replace expected term ((id, !k) :: l))
+          (content_terms ci.c_kind (text_of values.(ci.c_pos))))
       t;
     let kind_label = match ci.c_kind with Token -> "token" | Trigram -> "trigram" in
+    let multi =
+      Hashtbl.fold
+        (fun _ l n -> n + List.length (List.filter (fun (_, k) -> k > 1) l))
+        expected 0
+    in
     if Hashtbl.length expected <> Hashtbl.length ci.postings then
       err "%s index on %s: %d stored terms, expected %d" kind_label ci.c_col
         (Hashtbl.length ci.postings) (Hashtbl.length expected)
+    else if Hashtbl.length ci.multi <> multi then
+      err "%s index on %s: %d stored repeat counts, expected %d" kind_label ci.c_col
+        (Hashtbl.length ci.multi) multi
     else
       Hashtbl.fold
-        (fun term ids acc ->
+        (fun term entries acc ->
           match acc with
           | Error _ -> acc
           | Ok () ->
-            let want = Array.of_list (List.rev ids) in
+            let want = Array.of_list entries in
             Array.sort compare want;
             (match Hashtbl.find_opt ci.postings term with
              | None -> err "%s index on %s: term %S missing" kind_label ci.c_col term
              | Some p ->
-               if arr_of_posting p <> want then
-                 err "%s index on %s: term %S holds %d ids, expected %d"
+               let got = Array.init p.len (fun i -> (p.ids.(i), occurrences ci term p.ids.(i))) in
+               if got <> want then
+                 err "%s index on %s: term %S holds %d ids, expected %d (or counts differ)"
                    kind_label ci.c_col term p.len (Array.length want)
                else Ok ()))
         expected (Ok ())

@@ -46,11 +46,33 @@ val delete : t -> int -> bool
     {!iter_rows}; its id is never reused. Returns false when the id is
     out of range or already deleted. *)
 
-val update : t -> int -> Value.t array -> bool
-(** Rewrite a live row in place, preserving its id: indexes whose keys
-    changed are maintained, statistics caches are invalidated, and the
-    version is bumped. Returns false when the id is out of range or
-    tombstoned; raises [Invalid_argument] on a count or type mismatch. *)
+(** One column edit of a row update. *)
+type cell =
+  | Set of string * Value.t  (** replace the named column's value *)
+  | Splice of { col : string; off : int; del : int; ins : string; len_before : int }
+      (** replace [del] bytes at byte offset [off] of a text column's
+          value with [ins]; [len_before] is the value's byte length
+          before the edit and must match the stored value *)
+
+val update : t -> int -> cell list -> bool
+(** Apply [cells], in order, to a live row in place, preserving its id.
+    Only the touched columns cost work: a B+tree or the partition
+    segments are maintained only when a touched column is in their key,
+    and a splice keeps a content index current by re-tokenizing the
+    edited window alone (widened to whitespace for tokens, by 2 bytes
+    for trigrams). Statistics caches are invalidated and the version is
+    bumped. Returns false when the id is out of range or tombstoned;
+    raises [Invalid_argument], leaving the row untouched, on an unknown
+    column, a mistyped value, or a splice that does not fit the stored
+    value (wrong [len_before], window out of range, non-text value). *)
+
+val check_cells : t -> int -> cell list -> unit
+(** Raise exactly when {!update} would, without applying
+    anything; a no-op for a dead row. *)
+
+val postings_changed : t -> int
+(** Content-index entries (term, row) added or removed since the table
+    was created — the index work writes have caused. *)
 
 val live_count : t -> int
 (** Rows minus tombstones. *)
@@ -111,11 +133,14 @@ val check_partitions : t -> (unit, string) result
 
     Inverted posting lists over a text column, maintained incrementally
     by {!insert}, {!delete} and {!update} exactly like the B+trees and
-    partition segments. [Token] indexes the column's whitespace-separated
-    tokens; [Trigram] indexes every 3-byte substring. The engine probes
-    them with the required-literal groups extracted from a [REGEXP_LIKE]
-    pattern to get a candidate-row superset, then verifies candidates
-    with the compiled DFA instead of scanning every row. *)
+    partition segments. The index also counts each posted term's
+    occurrences per row, so an edit can tell at once whether a term it
+    removed still occurs elsewhere in the value. [Token] indexes the
+    column's whitespace-separated tokens; [Trigram] indexes every 3-byte
+    substring. The engine probes them with the required-literal groups
+    extracted from a [REGEXP_LIKE] pattern to get a candidate-row
+    superset, then verifies candidates with the compiled DFA instead of
+    scanning every row. *)
 
 type content_kind = Token | Trigram
 
@@ -141,4 +166,5 @@ val content_candidates : t -> col:string -> string list list -> int array option
 val check_content_indexes : t -> (unit, string) result
 (** Test hook: rebuild the expected postings from the live rows and
     require every stored posting list to match exactly (same terms, same
-    ascending ids). [Ok ()] when the table has no content indexes. *)
+    ascending ids, same occurrence counts). [Ok ()] when the table has
+    no content indexes. *)

@@ -98,8 +98,11 @@ let session_executor ?update ?wal s =
                | None -> Update.exec u (op_of_wire op)
                | Some w ->
                  (* Log before apply: the ack (the [Updated] frame) only
-                    ever follows the append and its policy fsync. *)
+                    ever follows the append and its policy fsync. Once
+                    an append has failed, the shadow may be ahead of the
+                    relations: refuse every write before staging it. *)
                  let op = op_of_wire op in
+                 Option.iter (fun why -> raise (Wstore.Refused why)) (Wstore.refusal w);
                  let cs = Update.stage u op in
                  ignore (Wstore.append w ~op ~inserts:true cs : int);
                  Update.commit (Update.db u) cs;
@@ -360,6 +363,7 @@ let process t exec c (req : Wire.request) =
          false
        with
        | Update.Update_error msg -> fail Wire.Runtime msg
+       | Wstore.Refused msg -> fail Wire.Write_refused msg
        | Xmlparser.Error { line; column; message } ->
          fail Wire.Parse_error
            (Printf.sprintf "fragment XML parse error at %d:%d: %s" line column

@@ -69,8 +69,10 @@ type executor = {
   exec_run : string -> Engine.result;
   exec_update : Wire.update_op -> Ppfx_update.Update.outcome;
       (** apply one mutation; raises {!Ppfx_update.Update.Update_error}
-          on invalid operations (answered with a [Runtime] error frame)
-          and {!Ppfx_xml.Parser.Error} on malformed fragment XML *)
+          on invalid operations (answered with a [Runtime] error frame),
+          {!Ppfx_wal.Store.Refused} when the log cannot take it
+          ([Write_refused]) and {!Ppfx_xml.Parser.Error} on malformed
+          fragment XML *)
   exec_db : Database.t option;
       (** catalog used to type the prepared-statement column metadata *)
 }
@@ -95,7 +97,10 @@ val session_executor :
     the log — and fsynced per the store's durability policy — {e before}
     it commits in memory and the [Updated] ack is written; the mutex
     also serializes the log, and checkpoints rotate it per the store's
-    size/record policy. *)
+    size/record policy. Once an append has failed (or the log is
+    closed), every write is refused with {!Ppfx_wal.Store.Refused} before
+    it is staged, until the store is recovered from its directory;
+    reads keep working. *)
 
 val cluster_executor : Mutex.t -> Cluster.t -> executor
 (** Mutations route through {!Cluster.update} under the same mutex as

@@ -27,6 +27,7 @@ type error_code =
   | Bad_statement
   | Version_mismatch
   | Shutting_down
+  | Write_refused
 
 let error_code_to_string = function
   | Protocol -> "protocol"
@@ -37,6 +38,7 @@ let error_code_to_string = function
   | Bad_statement -> "bad-statement"
   | Version_mismatch -> "version-mismatch"
   | Shutting_down -> "shutting-down"
+  | Write_refused -> "write-refused"
 
 let error_code_to_int = function
   | Protocol -> 1
@@ -47,6 +49,7 @@ let error_code_to_int = function
   | Bad_statement -> 6
   | Version_mismatch -> 7
   | Shutting_down -> 8
+  | Write_refused -> 9
 
 let error_code_of_int = function
   | 1 -> Protocol
@@ -57,6 +60,7 @@ let error_code_of_int = function
   | 6 -> Bad_statement
   | 7 -> Version_mismatch
   | 8 -> Shutting_down
+  | 9 -> Write_refused
   | t -> raise (Codec (Bad_tag t))
 
 type col_ty = Tany | Tint | Tfloat | Ttext | Tbin

@@ -48,6 +48,9 @@ type error_code =
   | Bad_statement  (** unknown statement id *)
   | Version_mismatch
   | Shutting_down
+  | Write_refused
+      (** the store's log failed or is closed; writes are refused until
+          the store is recovered from its directory, reads still work *)
 
 val error_code_to_string : error_code -> string
 

@@ -22,7 +22,9 @@ let error fmt = Format.kasprintf (fun m -> raise (Update_error m)) fmt
 (* [text]/[dtext] columns), and each element's label. The shadow       *)
 (* forest is that tree, kept exactly in sync with the committed store: *)
 (* every mutation first rewrites the shadow, then derives the row      *)
-(* changeset from it.                                                  *)
+(* changeset from it. Each node also carries the byte length of its    *)
+(* string value (derived, never persisted), so a mutation can address *)
+(* its ancestors' [text] cells by offset without rebuilding them.      *)
 (* ------------------------------------------------------------------ *)
 
 type node = {
@@ -35,6 +37,7 @@ type node = {
   mutable n_attrs : (string * string) list;
   mutable n_items : item list;  (** interleaved text and element children *)
   mutable n_parent : node option;
+  mutable n_len : int;  (** byte length of the string value *)
 }
 
 and item = I_text of string | I_node of node
@@ -51,17 +54,30 @@ let rec string_value n =
 
 let tag n = n.n_def.Graph.name
 
-(* 1-based position among same-tag element siblings, and their count. *)
-let ord_sibs n =
-  match n.n_parent with
-  | None -> 1, 1
-  | Some p ->
-    let same = List.filter (fun c -> String.equal (tag c) (tag n)) (elem_children p) in
-    let rec pos i = function
-      | [] -> error "shadow corruption: node %d not among its parent's children" n.n_id
-      | c :: rest -> if c == n then i else pos (i + 1) rest
-    in
-    pos 1 same, List.length same
+let item_len = function I_text s -> String.length s | I_node c -> c.n_len
+
+let items_len items = List.fold_left (fun acc it -> acc + item_len it) 0 items
+
+(* [p]'s element children tagged [t], in document order: their list
+   positions and length are the [ord]/[sibs] descriptors. *)
+let same_tag p t =
+  List.filter_map
+    (function I_node c when String.equal (tag c) t -> Some c | I_node _ | I_text _ -> None)
+    p.n_items
+
+let iter_positions f p t =
+  let same = same_tag p t in
+  let sibs = List.length same in
+  List.iteri (fun i c -> f c (i + 1) sibs) same
+
+(* Byte offset of child [c]'s string value inside its parent [p]'s. *)
+let offset_in_parent p c =
+  let rec go acc = function
+    | [] -> error "shadow corruption: node %d not among its parent's items" c.n_id
+    | I_node x :: _ when x == c -> acc
+    | it :: rest -> go (acc + item_len it) rest
+  in
+  go 0 p.n_items
 
 let rec iter_subtree f n =
   f n;
@@ -153,6 +169,7 @@ let build_subtree u ~doc ~def ~path ~root_label ~intern tree =
         n_attrs = List.filter (fun (a, _) -> List.mem a def.Graph.attrs) e.Tree.attrs;
         n_items = [];
         n_parent = parent;
+        n_len = 0;
       }
     in
     let seq = ref 0 in
@@ -173,6 +190,7 @@ let build_subtree u ~doc ~def ~path ~root_label ~intern tree =
                  (path ^ "/" ^ c.Tree.tag)
                  (Ordpath.child label !seq) (Some n) c))
         e.Tree.children;
+    n.n_len <- items_len n.n_items;
     Hashtbl.replace u.by_id id n;
     Hashtbl.replace u.path_refs pid
       (1 + Option.value ~default:0 (Hashtbl.find_opt u.path_refs pid));
@@ -223,7 +241,7 @@ let validate_fragment u ~parent_def tree =
 (* Row derivation                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let build_row u n =
+let build_row u n ~ord ~sibs =
   let mapping = u.store.Loader.mapping in
   let schema = Mapping.schema mapping in
   let def = n.n_def in
@@ -233,7 +251,6 @@ let build_row u n =
       (Graph.parents schema def)
   in
   let attr_cols = List.map (fun a -> Mapping.attr_column a, a) def.Graph.attrs in
-  let ord, sibs = ord_sibs n in
   let value_of (c : Table.column) =
     let name = c.Table.name in
     if String.equal name "id" then Value.Int n.n_id
@@ -267,9 +284,13 @@ let relation_of u n = Mapping.relation u.store.Loader.mapping n.n_def
 (* Changesets                                                          *)
 (* ------------------------------------------------------------------ *)
 
+type cell = Table.cell =
+  | Set of string * Value.t
+  | Splice of { col : string; off : int; del : int; ins : string; len_before : int }
+
 type row_op =
   | Row_insert of { table : string; values : Value.t array }
-  | Row_update of { table : string; elem : int; values : Value.t array }
+  | Row_update of { table : string; elem : int; cells : cell list }
   | Row_delete of { table : string; elem : int }
 
 type routing = {
@@ -324,12 +345,12 @@ type op =
   | Set_attribute of { target : int; name : string; value : string option }
   | Set_text of { target : int; text : string }
 
-(* A staged mutation accumulates deletes/updates/inserts plus the pathid
-   set; updates are deduplicated by element id (last write wins, but all
-   rebuilds read the final shadow so every version is identical). *)
+(* A staged mutation accumulates deletes, per-row cell edits and
+   inserts plus the pathid set. Inserted rows are built in [finish],
+   from the final shadow. *)
 type acc = {
   mutable a_deletes : (string * int) list;  (* reverse order *)
-  mutable a_updates : (int, string) Hashtbl.t;  (* elem -> table *)
+  a_updates : (int, string * cell list) Hashtbl.t;  (* elem -> table, reversed cells *)
   mutable a_inserts : node list;  (* reverse preorder *)
   mutable a_new_paths : (int * string) list;  (* reverse intern order *)
   mutable a_dead_paths : int list;
@@ -348,23 +369,59 @@ let acc_create () =
 
 let touch_path acc pid = Hashtbl.replace acc.a_pathids pid ()
 
-let mark_update u acc n =
-  Hashtbl.replace acc.a_updates n.n_id (relation_of u n);
+let add_cell u acc n cell =
+  let cells = match Hashtbl.find_opt acc.a_updates n.n_id with Some (_, l) -> l | None -> [] in
+  Hashtbl.replace acc.a_updates n.n_id (relation_of u n, cell :: cells);
   touch_path acc n.n_path_id
 
-(* Update every same-tag element child of [p]: their [ord]/[sibs]
-   positional descriptors moved. *)
-let refresh_siblings u acc p t ~except =
-  List.iter
-    (fun c ->
-      if String.equal (tag c) t && not (List.memq c except) then mark_update u acc c)
-    (elem_children p)
+(* The positional descriptors of [p]'s children tagged [t] — the only
+   ones a mutation of a [t] child moves — to diff against afterwards. *)
+let positions_before p t =
+  let tbl = Hashtbl.create 16 in
+  iter_positions (fun c ord sibs -> Hashtbl.replace tbl c.n_id (ord, sibs)) p t;
+  tbl
 
-(* Update the ancestor chain starting at [p]: their string values
-   ([text] column) changed. *)
-let rec refresh_ancestors u acc p =
-  mark_update u acc p;
-  match p.n_parent with None -> () | Some q -> refresh_ancestors u acc q
+(* Surviving [t] children of [p] whose [ord]/[sibs] the mutation moved
+   get those cells set; a new child is inserted whole instead. *)
+let refresh_siblings u acc p t ~before =
+  iter_positions
+    (fun c ord sibs ->
+      match Hashtbl.find_opt before c.n_id with
+      | None -> ()
+      | Some (ord0, sibs0) ->
+        if ord <> ord0 then add_cell u acc c (Set ("ord", Value.Int ord));
+        if sibs <> sibs0 then add_cell u acc c (Set ("sibs", Value.Int sibs)))
+    p t
+
+(* [n]'s string value had [del] bytes at [off] replaced by [ins]. Every
+   ancestor's value contains [n]'s at a fixed offset, so each of them
+   (and [n]) gets one splice of its [text] cell, addressed through the
+   shadow's string-value lengths, which move by the same delta. *)
+let rec splice_up u acc n ~off ~del ~ins =
+  add_cell u acc n
+    (Splice { col = Mapping.text_column; off; del; ins; len_before = n.n_len });
+  let up = Option.map (fun p -> (p, offset_in_parent p n + off)) n.n_parent in
+  n.n_len <- n.n_len - del + String.length ins;
+  Option.iter (fun (p, off) -> splice_up u acc p ~off ~del ~ins) up
+
+(* The one splice that turns [old] into [new_] (common prefix and
+   suffix kept), applied at byte [off] of [n]'s string value and up its
+   ancestor chain. Nothing happens when the values are equal. *)
+let replace_text u acc n ~off ~old ~new_ =
+  if not (String.equal old new_) then begin
+    let lo = String.length old and ln = String.length new_ in
+    let pre = ref 0 in
+    while !pre < lo && !pre < ln && old.[!pre] = new_.[!pre] do incr pre done;
+    let suf = ref 0 in
+    while
+      !suf < lo - !pre && !suf < ln - !pre && old.[lo - 1 - !suf] = new_.[ln - 1 - !suf]
+    do
+      incr suf
+    done;
+    splice_up u acc n ~off:(off + !pre)
+      ~del:(lo - !pre - !suf)
+      ~ins:(String.sub new_ !pre (ln - !pre - !suf))
+  end
 
 let intern_for acc u path =
   match Hashtbl.find_opt u.path_ids path with
@@ -392,16 +449,29 @@ let detach_subtree u acc n =
     n
 
 let finish u acc ~routing =
+  (* inserted rows' positions among their same-tag siblings, one pass
+     per (parent, tag) *)
+  let positions = Hashtbl.create 16 in
+  let position n =
+    match n.n_parent with
+    | None -> 1, 1
+    | Some p ->
+      if not (Hashtbl.mem positions n.n_id) then
+        iter_positions (fun c ord sibs -> Hashtbl.replace positions c.n_id (ord, sibs)) p (tag n);
+      Hashtbl.find positions n.n_id
+  in
   let ops =
     List.rev_map (fun (table, elem) -> Row_delete { table; elem }) acc.a_deletes
-    @ (Hashtbl.fold (fun elem table l -> (elem, table) :: l) acc.a_updates []
-      |> List.sort compare
-      |> List.filter_map (fun (elem, table) ->
+    @ (Hashtbl.fold (fun elem (table, cells) l -> (elem, table, cells) :: l) acc.a_updates []
+      |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+      |> List.filter_map (fun (elem, table, cells) ->
              if Hashtbl.mem u.by_id elem then
-               Some (Row_update { table; elem; values = build_row u (find u elem) })
+               Some (Row_update { table; elem; cells = List.rev cells })
              else None))
     @ List.rev_map
-        (fun n -> Row_insert { table = relation_of u n; values = build_row u n })
+        (fun n ->
+          let ord, sibs = position n in
+          Row_insert { table = relation_of u n; values = build_row u n ~ord ~sibs })
         acc.a_inserts
   in
   {
@@ -463,6 +533,10 @@ let insert_neighbors p ~before =
     in
     go None p.n_items
 
+(* The root tag a fragment will be inserted under (a text fragment is
+   rejected by [validate_fragment]). *)
+let fragment_tag = function Tree.Element e -> e.Tree.tag | Tree.Text _ -> ""
+
 let routing_for ~parent ~left ~right ~fk =
   Some
     {
@@ -489,9 +563,10 @@ let stage u op =
     in
     let left, right = insert_neighbors p ~before:before_node in
     let acc = acc_create () in
+    let before = positions_before p (fragment_tag fragment) in
     let froot = stage_insert u acc p ~before:before_node ~left ~right fragment in
-    refresh_siblings u acc p (tag froot) ~except:[ froot ];
-    if not (String.equal (string_value froot) "") then refresh_ancestors u acc p;
+    refresh_siblings u acc p (tag froot) ~before;
+    replace_text u acc p ~off:(offset_in_parent p froot) ~old:"" ~new_:(string_value froot);
     let fk =
       Some
         ( relation_of u froot,
@@ -506,11 +581,12 @@ let stage u op =
       | None -> error "cannot delete a document root (element %d)" target
     in
     let acc = acc_create () in
-    let had_text = not (String.equal (string_value n) "") in
+    let off = offset_in_parent p n in
+    let before = positions_before p (tag n) in
     detach_subtree u acc n;
     p.n_items <- List.filter (function I_node c -> not (c == n) | I_text _ -> true) p.n_items;
-    refresh_siblings u acc p (tag n) ~except:[];
-    if had_text then refresh_ancestors u acc p;
+    refresh_siblings u acc p (tag n) ~before;
+    if n.n_len > 0 then splice_up u acc p ~off ~del:n.n_len ~ins:"";
     finish u acc ~routing:None
   | Replace_subtree { target; fragment } ->
     let n = find u target in
@@ -523,7 +599,6 @@ let stage u op =
        untouched. *)
     let _ = validate_fragment u ~parent_def:p.n_def fragment in
     let acc = acc_create () in
-    let old_tag = tag n in
     let old_text = string_value n in
     (* Neighbors around the target, excluding it. *)
     let rec around left = function
@@ -539,14 +614,16 @@ let stage u op =
       | I_text _ :: rest -> around left rest
     in
     let left, right = around None p.n_items in
+    let tags = List.sort_uniq String.compare [ tag n; fragment_tag fragment ] in
+    let before = List.map (fun t -> (t, positions_before p t)) tags in
     detach_subtree u acc n;
     (* Keep the target's item position: splice the fragment right where
        the old subtree sat, then drop the old subtree. *)
     let froot = stage_insert u acc p ~before:(Some n) ~left ~right fragment in
     p.n_items <- List.filter (function I_node c -> not (c == n) | I_text _ -> true) p.n_items;
-    refresh_siblings u acc p old_tag ~except:[ froot ];
-    refresh_siblings u acc p (tag froot) ~except:[ froot ];
-    if not (String.equal old_text (string_value froot)) then refresh_ancestors u acc p;
+    List.iter (fun (t, before) -> refresh_siblings u acc p t ~before) before;
+    replace_text u acc p ~off:(offset_in_parent p froot) ~old:old_text
+      ~new_:(string_value froot);
     let fk =
       Some
         ( relation_of u froot,
@@ -561,7 +638,10 @@ let stage u op =
     n.n_attrs <-
       (let without = List.remove_assoc name n.n_attrs in
        match value with None -> without | Some v -> without @ [ (name, v) ]);
-    mark_update u acc n;
+    add_cell u acc n
+      (Set
+         ( Mapping.attr_column name,
+           match value with Some v -> Value.Str v | None -> Value.Null ));
     finish u acc ~routing:None
   | Set_text { target; text } ->
     let n = find u target in
@@ -569,9 +649,8 @@ let stage u op =
     let acc = acc_create () in
     let elems = List.filter (function I_node _ -> true | I_text _ -> false) n.n_items in
     n.n_items <- (if String.equal text "" then elems else I_text text :: elems);
-    mark_update u acc n;
-    if not (String.equal old (string_value n)) then
-      Option.iter (fun p -> refresh_ancestors u acc p) n.n_parent;
+    add_cell u acc n (Set (Mapping.dtext_column, Value.Str (direct_text n)));
+    replace_text u acc n ~off:0 ~old ~new_:(string_value n);
     finish u acc ~routing:None
 
 (* ------------------------------------------------------------------ *)
@@ -596,6 +675,26 @@ let find_row db table elem =
 
 let commit ?(inserts = true) database cs =
   Database.with_write database (fun () ->
+      (* Resolve every addressed row first, and refuse the whole
+         changeset before anything is applied if a cell edit does not
+         fit its stored row: a splice staged against other text than the
+         relations hold would otherwise corrupt the value. *)
+      let resolved =
+        List.map
+          (fun op ->
+            match op with
+            | Row_insert _ -> op, None
+            | Row_update { table; elem; _ } | Row_delete { table; elem } ->
+              op, find_row database table elem)
+          cs.cs_ops
+      in
+      List.iter
+        (function
+          | Row_update { table; elem; cells }, Some (tbl, r) -> (
+            try Table.check_cells tbl r cells
+            with Invalid_argument m -> error "commit: element %d in %s: %s" elem table m)
+          | _ -> ())
+        resolved;
       let before = Hashtbl.create 8 in
       let note name =
         if not (Hashtbl.mem before name) then
@@ -618,22 +717,17 @@ let commit ?(inserts = true) database cs =
           | None -> ())
         cs.cs_new_paths;
       List.iter
-        (fun op ->
-          match op with
-          | Row_insert { table; values } ->
+        (fun (op, target) ->
+          match op, target with
+          | Row_insert { table; values }, _ ->
             if inserts then
               Option.iter
                 (fun tbl -> ignore (Table.insert tbl values))
                 (Database.table_opt database table)
-          | Row_update { table; elem; values } ->
-            Option.iter
-              (fun (tbl, r) -> ignore (Table.update tbl r values))
-              (find_row database table elem)
-          | Row_delete { table; elem } ->
-            Option.iter
-              (fun (tbl, r) -> ignore (Table.delete tbl r))
-              (find_row database table elem))
-        cs.cs_ops;
+          | Row_update { cells; _ }, Some (tbl, r) -> ignore (Table.update tbl r cells)
+          | Row_delete _, Some (tbl, r) -> ignore (Table.delete tbl r)
+          | (Row_update _ | Row_delete _), None -> ())
+        resolved;
       List.iter
         (fun pid ->
           Option.iter
@@ -863,6 +957,7 @@ let of_shadow store sh =
         n_attrs = List.filter (fun (a, _) -> List.mem a def.Graph.attrs) sn.sn_attrs;
         n_items = [];
         n_parent = parent;
+        n_len = 0;
       }
     in
     n.n_items <-
@@ -879,6 +974,7 @@ let of_shadow store sh =
             in
             I_node (rebuild cdef (path ^ "/" ^ c.sn_tag) (Some n) c))
         sn.sn_items;
+    n.n_len <- items_len n.n_items;
     Hashtbl.replace u.by_id sn.sn_id n;
     Hashtbl.replace u.path_refs sn.sn_path_id
       (1 + Option.value ~default:0 (Hashtbl.find_opt u.path_refs sn.sn_path_id));

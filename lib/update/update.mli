@@ -88,12 +88,23 @@ type op =
 
 (** {1 Changesets} *)
 
+type cell = Ppfx_minidb.Table.cell =
+  | Set of string * Value.t  (** replace one column's value *)
+  | Splice of { col : string; off : int; del : int; ins : string; len_before : int }
+      (** replace [del] bytes at byte offset [off] of a text column with
+          [ins]; [len_before] is the value's length before the edit, and
+          a commit whose stored value has another length is refused *)
+
 type row_op =
   | Row_insert of { table : string; values : Value.t array }
-  | Row_update of { table : string; elem : int; values : Value.t array }
-      (** [elem] is the element id; each store resolves it to its own row
-          position through the relation's [id] index, so one changeset
-          applies to the coordinator store and to every shard replica. *)
+  | Row_update of { table : string; elem : int; cells : cell list }
+      (** Only the cells the mutation changes: a mutated element's
+          [dtext]/attribute, one [text] splice per ancestor whose string
+          value contains the edit, [ord]/[sibs] of moved same-tag
+          siblings. [elem] is the element id; each store resolves it to
+          its own row position through the relation's [id] index, so one
+          changeset applies to the coordinator store and to every shard
+          replica. *)
   | Row_delete of { table : string; elem : int }
 
 type routing = {
@@ -126,8 +137,11 @@ type outcome = {
 
 val stage : t -> op -> changeset
 (** Validate the operation, mutate the shadow, and derive the row
-    changeset. No database writes happen here. Raises {!Update_error}
-    (before any shadow mutation) on invalid operations. *)
+    changeset. No database writes happen here, and no ancestor's string
+    value is rebuilt: the changeset's size and cost follow the mutated
+    subtree, the ancestor chain's depth and the moved siblings' count,
+    not the document. Raises {!Update_error} (before any shadow
+    mutation) on invalid operations. *)
 
 val commit : ?inserts:bool -> Database.t -> changeset -> unit
 (** Apply a staged changeset to one database under its write lock and
@@ -136,7 +150,9 @@ val commit : ?inserts:bool -> Database.t -> changeset -> unit
     skipped and [Paths] maintenance always applies, so the same changeset
     replays against shard replicas that hold only part of the store;
     [~inserts:false] additionally skips [Row_insert]s (for shards that do
-    not own the new subtree). *)
+    not own the new subtree). Raises {!Update_error}, applying nothing,
+    when a cell does not fit its stored row (a splice's [len_before]
+    differs from the stored value's length). *)
 
 val exec : t -> op -> outcome
 (** [stage] + [commit] against the store's own database. *)

@@ -1,4 +1,4 @@
-let magic = "PPFXLOG1"
+let magic = "PPFXLOG2"
 
 let u32le n =
   let b = Bytes.create 4 in
@@ -54,11 +54,14 @@ let scan_string s =
     { frames = List.rev !frames; valid_end = !pos; file_len = len }
   end
 
-let scan_file path =
+let check_header s =
+  let mlen = String.length magic in
+  let found = String.sub s 0 (min mlen (String.length s)) in
+  if String.equal found magic then Ok ()
+  else Error (Printf.sprintf "unexpected header %S (expected %S)" found magic)
+
+let read_file path =
   let ic = open_in_bin path in
-  let s =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  scan_string s
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))

@@ -210,6 +210,37 @@ let get_op d : Update.op =
 
 (* --- changesets ------------------------------------------------------ *)
 
+(* A cell carries only what changed: a set column's new value, or a
+   splice's window and inserted bytes — never the rest of the value. *)
+let put_cell b (c : Update.cell) =
+  match c with
+  | Update.Set (col, v) ->
+    Buffer.add_char b '\000';
+    put_str b col;
+    put_value b v
+  | Update.Splice { col; off; del; ins; len_before } ->
+    Buffer.add_char b '\001';
+    put_str b col;
+    put_varint b off;
+    put_varint b del;
+    put_str b ins;
+    put_varint b len_before
+
+let get_cell d : Update.cell =
+  match get_byte d with
+  | 0 ->
+    let col = get_str d in
+    let v = get_value d in
+    Update.Set (col, v)
+  | 1 ->
+    let col = get_str d in
+    let off = get_varint d in
+    let del = get_varint d in
+    let ins = get_str d in
+    let len_before = get_varint d in
+    Update.Splice { col; off; del; ins; len_before }
+  | tag -> corrupt "unknown cell tag %d" tag
+
 let put_row_op b (op : Update.row_op) =
   match op with
   | Update.Row_insert { table; values } ->
@@ -217,12 +248,11 @@ let put_row_op b (op : Update.row_op) =
     put_str b table;
     put_varint b (Array.length values);
     Array.iter (put_value b) values
-  | Update.Row_update { table; elem; values } ->
+  | Update.Row_update { table; elem; cells } ->
     Buffer.add_char b '\001';
     put_str b table;
     put_varint b elem;
-    put_varint b (Array.length values);
-    Array.iter (put_value b) values
+    put_list put_cell b cells
   | Update.Row_delete { table; elem } ->
     Buffer.add_char b '\002';
     put_str b table;
@@ -242,8 +272,8 @@ let get_row_op d : Update.row_op =
   | 1 ->
     let table = get_str d in
     let elem = get_varint d in
-    let values = get_values d in
-    Update.Row_update { table; elem; values }
+    let cells = get_list get_cell d in
+    Update.Row_update { table; elem; cells }
   | 2 ->
     let table = get_str d in
     let elem = get_varint d in

@@ -8,6 +8,8 @@ module Metrics = Ppfx_service.Metrics
 
 type durability = Off | Fsync | Batch of int
 
+exception Refused of string
+
 let durability_to_string = function
   | Off -> "off"
   | Fsync -> "fsync"
@@ -36,6 +38,7 @@ type t = {
   checkpoint_bytes : int;
   checkpoint_records : int;
   mutable fd : Unix.file_descr option;
+  mutable broken : string option;  (* why appends are refused after a failed one *)
   mutable gen : int;
   mutable next_seq : int;
   mutable seg_records : int;
@@ -181,6 +184,7 @@ let make ~io ~durability ~checkpoint_bytes ~checkpoint_records ~dir ~gen ~next_s
     checkpoint_bytes;
     checkpoint_records;
     fd = None;
+    broken = None;
     gen;
     next_seq;
     seg_records = 0;
@@ -210,35 +214,49 @@ let init ?(io = Io.live) ?(durability = Fsync)
 
 let exists ~dir = Sys.file_exists (Filename.concat dir Manifest.file)
 
+let writable t =
+  match t.broken, t.fd with
+  | Some why, _ -> Error why
+  | None, None -> Error (Printf.sprintf "the log in %s is closed" t.dir)
+  | None, Some fd -> Ok fd
+
+let refusal t = match writable t with Ok _ -> None | Error why -> Some why
+
 let append t ?op ?(inserts = true) ?extras cs =
-  let fd =
-    match t.fd with
-    | Some fd -> fd
-    | None -> invalid_arg "Wal.Store.append: store is closed"
-  in
+  let fd = match writable t with Ok fd -> fd | Error why -> raise (Refused why) in
   let seq = t.next_seq in
   let framed =
     Log.frame
       (Record.encode { Record.r_seq = seq; r_op = op; r_inserts = inserts; r_cs = cs; r_extras = extras })
   in
-  Io.write t.io fd framed;
+  let fsync () =
+    Io.fsync t.io fd;
+    t.unsynced <- 0;
+    note_fsync t
+  in
+  (* Whether a failed append reached the disk is unknown, and the caller
+     has already staged it: no later record may follow it in this
+     process. [Io.Crashed] stands for the process dying and passes
+     through as it is. *)
+  (try
+     Io.write t.io fd framed;
+     match t.durability with
+     | Off -> t.unsynced <- t.unsynced + 1
+     | Fsync -> fsync ()
+     | Batch n ->
+       t.unsynced <- t.unsynced + 1;
+       if t.unsynced >= max 1 n then fsync ()
+   with e ->
+     let why =
+       Printf.sprintf "append %d failed (%s); recover the store from %s" seq
+         (Printexc.to_string e) t.dir
+     in
+     t.broken <- Some why;
+     match e with Io.Crashed _ -> raise e | _ -> raise (Refused why));
   t.next_seq <- seq + 1;
   t.seg_records <- t.seg_records + 1;
   t.seg_bytes <- t.seg_bytes + String.length framed;
   note_append t (String.length framed);
-  (match t.durability with
-   | Off -> t.unsynced <- t.unsynced + 1
-   | Fsync ->
-     Io.fsync t.io fd;
-     t.unsynced <- 0;
-     note_fsync t
-   | Batch n ->
-     t.unsynced <- t.unsynced + 1;
-     if t.unsynced >= max 1 n then begin
-       Io.fsync t.io fd;
-       t.unsynced <- 0;
-       note_fsync t
-     end);
   seq
 
 let flush t =
@@ -307,31 +325,41 @@ let recover ?(io = Io.live) ?(durability = Fsync)
   in
   let* meta = read_meta (Filename.concat dir (meta_file man.Manifest.gen)) in
   let seg = Filename.concat dir (seg_file man.Manifest.gen) in
+  let* seg_bytes =
+    match Log.read_file seg with
+    | exception Sys_error e -> Error ("wal segment: " ^ e)
+    | s -> Ok s
+  in
+  (* A segment written in another record format is refused as it is,
+     never scanned as zero frames and truncated. *)
+  let* () =
+    Result.map_error
+      (fun e -> Printf.sprintf "wal segment %s: %s" (seg_file man.Manifest.gen) e)
+      (Log.check_header seg_bytes)
+  in
   let* records, valid_end, file_len =
     if man.Manifest.clean then
       (* clean shutdown: the final checkpoint rotated the log, so the
          segment is empty by construction — skip the scan entirely *)
       Ok ([], String.length Log.magic, String.length Log.magic)
     else
-      match Log.scan_file seg with
-      | exception Sys_error e -> Error ("wal segment: " ^ e)
-      | scan ->
-        (* A frame that passed its CRC but does not decode, or whose
-           sequence number breaks the base_seq+1, +2, ... chain, marks
-           the start of the invalid tail just like a torn frame. *)
-        let rec go acc expected valid = function
-          | [] -> (List.rev acc, valid)
-          | (payload, frame_end) :: rest -> (
-            match Record.decode payload with
-            | r when r.Record.r_seq = expected ->
-              go (r :: acc) (expected + 1) frame_end rest
-            | _ -> (List.rev acc, valid)
-            | exception Record.Corrupt _ -> (List.rev acc, valid))
-        in
-        let records, valid_end =
-          go [] (man.Manifest.base_seq + 1) (String.length Log.magic) scan.Log.frames
-        in
-        Ok (records, valid_end, scan.Log.file_len)
+      let scan = Log.scan_string seg_bytes in
+      (* A frame that passed its CRC but does not decode, or whose
+         sequence number breaks the base_seq+1, +2, ... chain, marks
+         the start of the invalid tail just like a torn frame. *)
+      let rec go acc expected valid = function
+        | [] -> (List.rev acc, valid)
+        | (payload, frame_end) :: rest -> (
+          match Record.decode payload with
+          | r when r.Record.r_seq = expected ->
+            go (r :: acc) (expected + 1) frame_end rest
+          | _ -> (List.rev acc, valid)
+          | exception Record.Corrupt _ -> (List.rev acc, valid))
+      in
+      let records, valid_end =
+        go [] (man.Manifest.base_seq + 1) (String.length Log.magic) scan.Log.frames
+      in
+      Ok (records, valid_end, scan.Log.file_len)
   in
   let truncated = file_len - valid_end in
   let replayed = List.length records in

@@ -90,6 +90,17 @@ val recover :
 
 (** {2 The write path} *)
 
+exception Refused of string
+(** Raised by {!append} when the store cannot take the record: it is
+    closed, or this append or an earlier one failed. The caller staged
+    the refused commit already, so its in-memory state may be ahead of
+    what the log and the relations hold; it must take no further writes
+    until the store is recovered from its directory ({!recover}). *)
+
+val refusal : t -> string option
+(** Why {!append} would raise {!Refused} now, if it would. Check it
+    before staging a write. *)
+
 val append :
   t ->
   ?op:Update.op ->
@@ -102,7 +113,10 @@ val append :
     {e before} the commit is applied in memory and acked. [op] is logged
     on full stores so replay can rebuild the shadow; [inserts] is the
     shard replay flag; [extras] the cluster routing state after this
-    commit. *)
+    commit. Raises {!Refused} when the store is closed or broken, and
+    when the write or its fsync fails — after which every later append
+    is refused too. {!Io.Crashed} (a simulated process death) passes
+    through unchanged. *)
 
 val flush : t -> unit
 (** Fsync any unsynced appends (group-commit flush, shutdown path). *)

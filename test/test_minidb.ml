@@ -1213,7 +1213,10 @@ let apply_path_mutations ft muts =
         live := List.remove_assoc rid !live
       | _, l ->
         let rid, idv = List.nth l (sel mod List.length l) in
-        ignore (Table.update ft rid [| Value.Int idv; Value.Int pid; Value.Int v |]))
+        ignore
+          (Table.update ft rid
+             [ Table.Set ("id", Value.Int idv); Table.Set ("path_id", Value.Int pid);
+               Table.Set ("val", Value.Int v) ]))
     muts
 
 let gen_path_mutations =
@@ -1318,7 +1321,10 @@ let partition_tests =
         let db, _, ft = partitioned_fixture () in
         ignore (Table.insert ft [| Value.Int 9; Value.Int 3; Value.Int 4 |]);
         ignore (Table.delete ft 0);
-        ignore (Table.update ft 1 [| Value.Int 1; Value.Int 4; Value.Int 2 |]);
+        ignore
+          (Table.update ft 1
+             [ Table.Set ("id", Value.Int 1); Table.Set ("path_id", Value.Int 4);
+               Table.Set ("val", Value.Int 2) ]);
         (match Table.check_partitions ft with
          | Ok () -> ()
          | Error e -> Alcotest.fail e);
@@ -1551,7 +1557,7 @@ let content_tests =
         ignore (Table.delete t 0);
         ignore (Table.insert t [| Value.Int 6; Value.Str "quick again" |]);
         Alcotest.(check bool) "update rewrites postings" true
-          (Table.update t 2 [| Value.Int 2; Value.Str "slow silver" |]);
+          (Table.update t 2 [ Table.Set ("txt", Value.Str "slow silver") ]);
         (match Table.check_content_indexes t with
          | Ok () -> ()
          | Error e -> Alcotest.failf "postings inconsistent: %s" e);
@@ -1675,6 +1681,87 @@ let prop_content_vs_scan_vs_naive =
       let naive = (Engine.run_naive db stmt).Engine.rows in
       probed = scanned && scanned = naive)
 
+(* Splices keep both index kinds exactly what a full re-index builds.
+   Texts come from a tiny alphabet with spaces, so edits land inside
+   tokens, join and split them, and straddle trigram edges. *)
+let prop_splices_vs_reindex =
+  let text = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c'; ' ' ]) (int_bound 12)) in
+  let edit = QCheck.Gen.(quad small_nat small_nat small_nat text) in
+  QCheck.Test.make ~count:200 ~name:"splices keep content indexes equal to a full re-index"
+    (QCheck.make
+       ~print:(fun (texts, edits) ->
+         String.concat "|" texts ^ " / "
+         ^ String.concat ";"
+             (List.map (fun (r, o, d, i) -> Printf.sprintf "%d,%d,%d,%S" r o d i) edits))
+       QCheck.Gen.(pair (list_size (int_range 1 5) text) (list_size (int_range 1 20) edit)))
+    (fun (texts, edits) ->
+      let build texts =
+        let t =
+          Table.create ~name:"docs"
+            ~columns:
+              [ { Table.name = "id"; ty = Value.Tint }; { Table.name = "txt"; ty = Value.Tstr } ]
+            ()
+        in
+        Table.add_content_index t ~col:"txt" ~kind:Table.Token;
+        Table.add_content_index t ~col:"txt" ~kind:Table.Trigram;
+        List.iteri (fun i s -> ignore (Table.insert t [| Value.Int i; Value.Str s |])) texts;
+        t
+      in
+      let t = build texts in
+      let cur = Array.of_list texts in
+      List.iter
+        (fun (r, o, d, ins) ->
+          let r = r mod Array.length cur in
+          let s = cur.(r) in
+          let len = String.length s in
+          let off = o mod (len + 1) in
+          let del = d mod (len - off + 1) in
+          ignore
+            (Table.update t r
+               [ Table.Splice { col = "txt"; off; del; ins; len_before = len } ]);
+          cur.(r) <- String.sub s 0 off ^ ins ^ String.sub s (off + del) (len - off - del))
+        edits;
+      (match Table.check_content_indexes t with
+       | Ok () -> ()
+       | Error e -> QCheck.Test.fail_reportf "postings drifted: %s" e);
+      Array.iteri
+        (fun r s ->
+          if (Table.row t r).(1) <> Value.Str s then
+            QCheck.Test.fail_reportf "row %d holds the wrong value" r)
+        cur;
+      let fresh = build (Array.to_list cur) in
+      let chars = [ "a"; "b"; "c"; " " ] in
+      let lits =
+        List.concat_map (fun x -> List.concat_map (fun y -> [ x ^ y; x ^ y ^ "a"; x ^ y ^ "b" ]) chars) chars
+        @ chars
+      in
+      List.for_all
+        (fun lit ->
+          Table.content_candidates t ~col:"txt" [ [ lit ] ]
+          = Table.content_candidates fresh ~col:"txt" [ [ lit ] ])
+        lits)
+
+let misfit_splice_test =
+  ( "misfit splice refused, row untouched",
+    fun () ->
+      let _, t = content_db [ Table.Token ] in
+      let row0 = Table.row t 1 in
+      (match
+         Table.update t 1
+           [ Table.Splice { col = "txt"; off = 0; del = 4; ins = "busy"; len_before = 3 } ]
+       with
+       | _ -> Alcotest.fail "len_before must match the stored value"
+       | exception Invalid_argument _ -> ());
+      Alcotest.(check bool) "row untouched" true (Table.row t 1 == row0);
+      Alcotest.(check bool) "a fitting splice applies" true
+        (Table.update t 1
+           [ Table.Splice { col = "txt"; off = 0; del = 4; ins = "busy"; len_before = 15 } ]);
+      Alcotest.(check bool) "spliced value" true
+        ((Table.row t 1).(1) = Value.Str "busy dog sleeps");
+      match Table.check_content_indexes t with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "postings inconsistent: %s" e )
+
 let () =
   let tc (name, f) = Alcotest.test_case name `Quick f in
   Alcotest.run "minidb"
@@ -1697,7 +1784,8 @@ let () =
           [ prop_partitioned_vs_heap; prop_partitioned_mutations ];
       "merge-join", List.map tc merge_join_tests;
       "merge-join-properties", [ QCheck_alcotest.to_alcotest prop_merge_join_vs_naive ];
-      "content-index", List.map tc content_tests;
+      "content-index", List.map tc (content_tests @ [ misfit_splice_test ]);
       "content-index-properties",
-        [ QCheck_alcotest.to_alcotest prop_content_vs_scan_vs_naive ];
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_content_vs_scan_vs_naive; prop_splices_vs_reindex ];
     ]

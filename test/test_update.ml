@@ -30,6 +30,10 @@ module Cluster = Ppfx_cluster.Cluster
 module Xmark = Ppfx_workloads.Xmark
 module Server = Ppfx_net.Server
 module Client = Ppfx_client.Client
+module Wire = Ppfx_net.Wire
+module Value = Ppfx_minidb.Value
+module Mapping = Ppfx_shred.Mapping
+module Wstore = Ppfx_wal.Store
 
 (* ------------------------------------------------------------------ *)
 (* A small fixed document for the unit tests                           *)
@@ -173,6 +177,64 @@ let test_set_attribute () =
   Alcotest.(check (list int)) "old value gone" [] (run_q u {|//person[@id='p2']|});
   ignore (Update.exec u (Update.Set_attribute { target = p2; name = "id"; value = None }));
   Alcotest.(check (list int)) "attribute removed" [] (run_q u {|//person[@id='zz']|})
+
+(* A leaf's new text reaches its ancestors as one splice each: the
+   changeset carries the leaf's text a few times, never an ancestor's
+   whole string value, and no [text] cell is set wholesale. *)
+let test_set_text_changeset_is_local () =
+  let tree = Xmark.generate ~seed:11 ~items_per_region:2 () in
+  let u = Update.create (Xmark.schema ()) [ tree ] in
+  let loc = List.hd (find_by_tag u "location") in
+  let depth =
+    let rec go id = match Update.node_parent u id with Some p -> 1 + go p | None -> 1 in
+    go loc
+  in
+  let cs = Update.stage u (Update.Set_text { target = loc; text = "Atlantis" }) in
+  let splices = ref 0 in
+  List.iter
+    (function
+      | Update.Row_update { cells; _ } ->
+        List.iter
+          (function
+            | Update.Splice { ins; _ } ->
+              incr splices;
+              Alcotest.(check bool) "a splice inserts at most the new text" true
+                (String.length ins <= String.length "Atlantis")
+            | Update.Set (col, _) ->
+              Alcotest.(check bool) ("no whole text cell: " ^ col) false
+                (col = Mapping.text_column))
+          cells
+      | Update.Row_insert _ | Update.Row_delete _ ->
+        Alcotest.fail "set-text only updates rows")
+    cs.Update.cs_ops;
+  Alcotest.(check int) "one splice per element on the root path" depth !splices;
+  Update.commit (Update.db u) cs;
+  Alcotest.(check int) "the new text is visible" 1
+    (List.length (run_q u {|//item[location='Atlantis']|}))
+
+(* A changeset staged against other text than the relations hold must
+   be refused whole: committing the same splices twice finds every
+   ancestor's length already moved. *)
+let test_commit_refuses_misfit_splice () =
+  let u, _ = small () in
+  let city = the_one u "city" in
+  let cs = Update.stage u (Update.Set_text { target = city; text = "paris" }) in
+  Update.commit (Update.db u) cs;
+  let rows () =
+    List.map
+      (fun t ->
+        let acc = ref [] in
+        Table.iter_rows (fun _ r -> acc := Array.to_list r :: !acc) t;
+        !acc)
+      (Database.tables (Update.db u))
+  in
+  let before = rows () in
+  (match Update.commit (Update.db u) cs with
+   | () -> Alcotest.fail "a splice whose len_before does not fit must be refused"
+   | exception Update.Update_error _ -> ());
+  Alcotest.(check bool) "nothing was applied" true (before = rows ());
+  Alcotest.(check (list int)) "the value is intact" [ List.hd (find_by_tag u "person") ]
+    (run_q u {|//person[address/city='paris']|})
 
 let test_invalid_ops_rejected () =
   let u, _ = small () in
@@ -347,7 +409,8 @@ let apply_step ~pool ~u ~exec (a, b, c) =
   let try_exec op = try ignore (exec op) with Update.Update_error _ -> () in
   let ids = live_ids u in
   let nth l i = List.nth l (i mod List.length l) in
-  match a mod 6 with
+  let text_elems () = List.filter (fun id -> Update.node_tag u id = "text") ids in
+  match a mod 8 with
   | 0 | 1 ->
     let ptag, fragment = pool.(b mod Array.length pool) in
     let parents =
@@ -377,6 +440,25 @@ let apply_step ~pool ~u ~exec (a, b, c) =
      | ts -> try_exec (Update.Replace_subtree { target = nth ts c; fragment }))
   | 4 ->
     try_exec (Update.Set_text { target = nth ids b; text = Printf.sprintf "t%d" c })
+  | 6 ->
+    (* a mixed-content element: the new text sits next to its children's
+       text with no whitespace between, so ancestor splices land inside
+       tokens *)
+    (match text_elems () with
+     | [] -> ()
+     | ts -> try_exec (Update.Set_text { target = nth ts b; text = Printf.sprintf "x%dy" c }))
+  | 7 ->
+    (* a keyword spliced between a mixed-content element's children *)
+    (match text_elems () with
+     | [] -> ()
+     | ts ->
+       let parent = nth ts b in
+       let kids = Update.node_children u parent in
+       let before = if kids = [] || c mod 3 = 0 then None else Some (nth kids c) in
+       try_exec
+         (Update.Insert_subtree
+            { parent; before;
+              fragment = frag (Printf.sprintf "<keyword>k%d</keyword>" c) }))
   | _ ->
     (* attribute flips on the tags that declare them *)
     let items = List.filter (fun id -> Update.node_tag u id = "item") ids in
@@ -398,6 +480,72 @@ let steps_arb n =
         (triple (int_bound 10000) (int_bound 10000) (int_bound 10000)))
 
 let rank_set rk ids = List.sort compare (List.map (Hashtbl.find rk) ids)
+
+(* Every element row of a store, keyed by (relation, document-order
+   rank), with its cells made id-independent: element ids and foreign
+   keys become ranks, [path_id] becomes the path string, and [dewey_pos]
+   is dropped (caret labels differ from a fresh shred's by design). What
+   is left — [text], [dtext], [ord], [sibs], attributes, [doc_id] — must
+   equal a re-shred's byte for byte. *)
+let rows_by_rank u =
+  let rk = Update.ranks u in
+  let db = Update.db u in
+  let paths = Hashtbl.create 64 in
+  Table.iter_rows
+    (fun _ row ->
+      match row.(0), row.(1) with
+      | Value.Int id, Value.Str p -> Hashtbl.replace paths id p
+      | _ -> ())
+    (Database.table db Mapping.paths_table);
+  let ends_with_id c =
+    String.length c > 3 && String.sub c (String.length c - 3) 3 = "_id"
+  in
+  List.concat_map
+    (fun tbl ->
+      if String.equal (Table.name tbl) Mapping.paths_table then []
+      else begin
+        let cols = Array.of_list (Table.columns tbl) in
+        let out = ref [] in
+        Table.iter_rows
+          (fun _ row ->
+            let rank = match row.(0) with Value.Int id -> Hashtbl.find rk id | _ -> -1 in
+            let cells =
+              List.filter_map
+                (fun i ->
+                  let c = cols.(i).Table.name and v = row.(i) in
+                  if c = "id" || c = "dewey_pos" then None
+                  else if c = "path_id" then
+                    Some (c, match v with Value.Int p -> Hashtbl.find paths p | _ -> "?")
+                  else if c <> "doc_id" && ends_with_id c then
+                    Some
+                      ( c,
+                        match v with
+                        | Value.Int id -> string_of_int (Hashtbl.find rk id)
+                        | v -> Value.to_string v )
+                  else Some (c, Value.to_string v))
+                (List.init (Array.length cols) Fun.id)
+            in
+            out := ((Table.name tbl, rank), cells) :: !out)
+          tbl;
+        !out
+      end)
+    (Database.tables db)
+  |> List.sort compare
+
+let check_rows_equal label u fresh =
+  let fail fmt = Printf.ksprintf failwith fmt in
+  let a = rows_by_rank u and b = rows_by_rank fresh in
+  if List.length a <> List.length b then
+    fail "%s: %d rows, re-shred has %d" label (List.length a) (List.length b);
+  List.iter2
+    (fun ((ta, ra), ca) ((tb, rb), cb) ->
+      if (ta, ra) <> (tb, rb) then
+        fail "%s: row %s#%d where re-shred has %s#%d" label ta ra tb rb;
+      List.iter2
+        (fun (c, va) (_, vb) ->
+          if va <> vb then fail "%s: %s#%d column %s is %S, re-shred has %S" label ta ra c va vb)
+        ca cb)
+    a b
 
 (* The shredder's fact tables are path-partitioned with Dewey-sorted
    segments and carry content indexes on their text columns; every
@@ -444,6 +592,7 @@ let prop_incremental_equals_reshred =
       List.iter (apply_step ~pool ~u ~exec:(Update.exec u)) steps;
       check_store_partitions "single store" (Update.store u);
       let fresh = Update.create schema (Update.current_trees u) in
+      check_rows_equal "single store" u fresh;
       let s_inc = Session.create (Update.store u) in
       let s_ref = Session.create (Update.store fresh) in
       let rk_inc = Update.ranks u and rk_ref = Update.ranks fresh in
@@ -475,6 +624,7 @@ let prop_cluster_incremental_equals_reshred =
             (fun i st -> check_store_partitions (Printf.sprintf "shard %d" i) st)
             (Cluster.shard_stores c);
           let fresh = Update.create schema (Update.current_trees u) in
+          check_rows_equal "cluster full store" u fresh;
           let s_ref = Session.create (Update.store fresh) in
           let rk_inc = Update.ranks u and rk_ref = Update.ranks fresh in
           List.for_all
@@ -583,6 +733,49 @@ let test_wire_update_errors () =
       (* the connection survives both failures *)
       Alcotest.(check int) "still serving" 3 (List.length (Client.run_ids c "//person")))
 
+(* A write whose append fails leaves the shadow ahead of the relations;
+   the server must then refuse every write — before staging it — with a
+   typed error, keep answering reads, and leave the relations as they
+   were. A closed log is the failing store here. *)
+let test_failed_append_refuses_writes () =
+  let tree = Xmlparser.parse small_xml in
+  let schema = Graph.infer (Doc.of_tree tree) in
+  let store = Loader.shred schema (Doc.of_tree tree) in
+  let u = Update.of_store store [ tree ] in
+  let dir = Filename.temp_file "ppfx-update-wal" "" in
+  Sys.remove dir;
+  let w = Wstore.init ~dir ~db:store.Loader.db ~meta:(Server.store_meta u) () in
+  let write_path = (Mutex.create (), u) in
+  let config = { Server.default_config with port = 0; workers = 1 } in
+  let server =
+    Server.start ~config (fun () ->
+        Server.session_executor ~update:write_path ~wal:w (Session.create store))
+  in
+  let cleanup () =
+    Server.stop server;
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  in
+  Fun.protect ~finally:cleanup (fun () ->
+      let c = Client.connect ~port:(Server.port server) () in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+          let city = the_one u "city" in
+          ignore (Client.set_text c ~target:city "lima");
+          let pre_failure = Update.current_trees u in
+          Wstore.close w;
+          let refused what f =
+            match f () with
+            | (_ : Client.update_outcome) -> Alcotest.failf "%s must be refused" what
+            | exception Client.Server_error { code = Wire.Write_refused; _ } -> ()
+          in
+          refused "the failing write" (fun () -> Client.set_text c ~target:city "quito");
+          refused "the next write" (fun () ->
+              Client.insert c ~parent:(the_one u "people")
+                {|<person id="p9"><name>late</name></person>|});
+          Alcotest.(check int) "reads keep working" 1
+            (List.length (Client.run_ids c {|//person[address/city='lima']|}));
+          check_rows_equal "after refused writes" u (Update.create schema pre_failure)))
+
 (* ------------------------------------------------------------------ *)
 (* Cluster: shard routing and balance bookkeeping                      *)
 (* ------------------------------------------------------------------ *)
@@ -649,6 +842,8 @@ let () =
             "set text", test_set_text;
             "set attribute", test_set_attribute;
             "invalid ops rejected", test_invalid_ops_rejected;
+            "set-text changeset is local", test_set_text_changeset_is_local;
+            "misfit splice refused", test_commit_refuses_misfit_splice;
             "paths interned incrementally", test_new_path_interned;
           ] );
       ( "invalidation",
@@ -672,6 +867,7 @@ let () =
           [
             "update round-trip over TCP", test_wire_update_roundtrip;
             "typed errors over TCP", test_wire_update_errors;
+            "failed append refuses writes", test_failed_append_refuses_writes;
           ] );
       ( "cluster",
         List.map tc

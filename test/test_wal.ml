@@ -296,6 +296,57 @@ let test_store_init_append_recover () =
     Alcotest.(check int) "sequence numbering resumes" 3 (Wstore.next_seq r.Wstore.store);
     Wstore.close r.Wstore.store
 
+(* A segment in an older record format must be refused as it is: the
+   parent format's whole-row records would otherwise read as zero frames
+   and the segment would be truncated to its header. *)
+let test_old_header_refused () =
+  with_dir @@ fun dir ->
+  let u = small () in
+  let w = Wstore.init ~dir ~db:(Update.db u) ~meta:(Server.store_meta u) () in
+  ignore (logged_exec u w (small_op_text u));
+  Wstore.close w;
+  let seg = Filename.concat dir "wal-0.log" in
+  let body = read_file seg in
+  let old = "PPFXLOG1" ^ String.sub body 8 (String.length body - 8) in
+  write_file seg old;
+  (match Wstore.recover ~dir () with
+   | Ok r ->
+     Wstore.dispose r.Wstore.store;
+     Alcotest.fail "a PPFXLOG1 segment must be refused"
+   | Error e ->
+     let names_it =
+       let k = String.length "PPFXLOG1" in
+       let rec go i = i + k <= String.length e && (String.sub e i k = "PPFXLOG1" || go (i + 1)) in
+       go 0
+     in
+     Alcotest.(check bool) ("the error names the header found: " ^ e) true names_it);
+  Alcotest.(check string) "segment left byte-identical" old (read_file seg)
+
+(* An append that fails (here: an injected crash on its frame write)
+   breaks the store: the caller staged the commit already, so every
+   later append is refused until recovery. *)
+let test_failed_append_refuses () =
+  with_dir @@ fun dir ->
+  let u = small () in
+  let io = Io.create () in
+  let w = Wstore.init ~io ~dir ~db:(Update.db u) ~meta:(Server.store_meta u) () in
+  Alcotest.(check (option string)) "writable after init" None (Wstore.refusal w);
+  let op = small_op_text u in
+  let cs = Update.stage u op in
+  Io.arm io ~crash_at:(Io.ops io) ();
+  (match Wstore.append w ~op cs with
+   | _ -> Alcotest.fail "the armed append must fail"
+   | exception Io.Crashed _ -> ());
+  Io.disarm io;
+  Alcotest.(check bool) "broken after the failed append" true (Wstore.refusal w <> None);
+  (match Wstore.append w ~op cs with
+   | _ -> Alcotest.fail "a broken store must refuse appends"
+   | exception Wstore.Refused _ -> ());
+  Wstore.dispose w;
+  (match Wstore.append w ~op cs with
+   | _ -> Alcotest.fail "a closed store must refuse appends"
+   | exception Wstore.Refused _ -> ())
+
 let test_clean_shutdown_skips_scan () =
   with_dir @@ fun dir ->
   let u = small () in
@@ -863,6 +914,8 @@ let () =
             "checkpoint rotation", test_checkpoint_rotation;
             "durability counters", test_recovery_metrics;
             "durability_of_string", test_durability_of_string;
+            "older segment header refused", test_old_header_refused;
+            "failed append refuses later ones", test_failed_append_refuses;
           ] );
       ( "crash differential",
         List.map QCheck_alcotest.to_alcotest

@@ -101,7 +101,7 @@ let gen_response =
              [
                Wire.Protocol; Wire.Parse_error; Wire.Unsupported; Wire.Runtime;
                Wire.Admission; Wire.Bad_statement; Wire.Version_mismatch;
-               Wire.Shutting_down;
+               Wire.Shutting_down; Wire.Write_refused;
              ])
           (gen_bytes 32);
         return Wire.Bye;
